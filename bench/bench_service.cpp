@@ -43,7 +43,8 @@ bench::JsonReport& jsonOut() {
 /// The request mix.  Parameters are shrunk so the post-warm-up cost per
 /// request is dominated by dispatch + the cached-characterization path,
 /// not by hours of Monte-Carlo — this bench measures the service, the
-/// physics benches measure the physics.
+/// physics benches measure the physics.  fsm-transient runs the daemon's
+/// default 40-cycle slots, and its reply must report every bit written.
 struct MixEntry {
     const char* type;
     const char* params;
@@ -55,9 +56,19 @@ const std::vector<MixEntry>& requestMix() {
         {"characterize-latch", "{}", 4},
         {"locking-range-sweep", "{\"ampCount\": 4}", 2},
         {"hold-error-mc", "{\"trials\": 8, \"chunk\": 8, \"holdCycles\": 5}", 1},
-        {"fsm-transient", "{\"bits\": [1, 0], \"slotCycles\": 10}", 1},
+        {"fsm-transient", "{\"bits\": [1, 0]}", 1},
     };
     return kMix;
+}
+
+/// A reply passes when it is ok and, for fsm-transient, every bit was
+/// written into the latch.
+bool replyPassed(const std::string& type, const json::ParseResult& r) {
+    if (!r.ok || !r.value.fieldBool("ok", false)) return false;
+    if (type != "fsm-transient") return true;
+    const json::Value* job = r.value.field("job");
+    const json::Value* result = job ? job->field("result") : nullptr;
+    return result && result->fieldBool("allWritten", false);
 }
 
 struct ClientStats {
@@ -89,8 +100,7 @@ ClientStats runClient(const std::string& socketPath, int count, unsigned threadI
         const double ms =
             std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
                 .count();
-        const json::ParseResult parsed = json::parse(reply);
-        if (reply.empty() || !parsed.ok || !parsed.value.fieldBool("ok", false)) {
+        if (!replyPassed(e.type, json::parse(reply))) {
             ++st.failed;
             continue;
         }
@@ -191,8 +201,7 @@ void warmCache(const fs::path& cacheDir, const fs::path& ckptDir) {
     for (const MixEntry& e : requestMix()) {
         const std::string payload = "{\"type\": \"" + std::string(e.type) +
                                     "\", \"id\": 0, \"params\": " + e.params + "}";
-        const json::ParseResult r = json::parse(daemon.dispatch(payload));
-        if (!r.ok || !r.value.fieldBool("ok", false))
+        if (!replyPassed(e.type, json::parse(daemon.dispatch(payload))))
             std::printf("  [WARN: warm-up %s failed]\n", e.type);
     }
     const double ms =

@@ -15,6 +15,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -189,17 +190,24 @@ void reportBatchSpeedup() {
     benchmark::DoNotOptimize(scalar1 + scalarT);
 }
 
-// One-shot SIMD kernel tier table (DESIGN.md §18): the same batched
-// primitives with the opt-in vector kernels off and on.  Off is the
-// bitwise-golden default; on resolves to the widest tier the CPU supports
-// (PHLOGON_SIMD=0|1|auto overrides).  The contract makes this a pure
-// wall-clock comparison: both paths produce bit-identical results.
+// One-shot SIMD kernel table (DESIGN.md §18): the scalar reference kernels
+// against the dispatched ones, kernels(), on the same inputs.  The lane
+// contract makes this a pure wall-clock comparison: both produce
+// bit-identical results (checked below).
 void reportSimdSpeedup() {
-    using num::simd::Tier;
-    const Tier tier = num::simd::resolveTier(true);
-    std::printf("SIMD kernel tier: scalar kernels vs opt-in vector kernels (resolved\n");
-    std::printf("tier with simd=true: %s%s):\n", num::simd::tierName(tier),
-                tier == Tier::Scalar ? " — no vector tier available, expect x1.0" : "");
+    const num::simd::Kernels& scalar = num::simd::scalarKernels();
+    const num::simd::Kernels& vec = num::simd::kernels();
+    const char* vecName = num::simd::tierName(vec.tier);
+    const auto timeMs = [](const auto& body) {
+        const auto t0 = std::chrono::steady_clock::now();
+        body();
+        return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+            .count();
+    };
+    std::printf("SIMD kernel tier: scalar reference kernels vs dispatched kernels (%s%s):\n",
+                vecName,
+                vec.tier == num::simd::Tier::Scalar ? " — no vector tier available, expect x1.0"
+                                                    : "");
 
     // 1. Batched spline evaluation — the GAE RHS primitive (gather + Horner
     //    over the packed per-segment cubics).
@@ -211,73 +219,84 @@ void reportSimdSpeedup() {
             s[i] = std::sin(2.0 * std::numbers::pi * u) +
                    0.3 * std::cos(6.0 * std::numbers::pi * u);
         }
-        const num::PeriodicCubicSpline spline(s);
-        const num::PackedPeriodicSpline packed(spline);
+        const num::PackedPeriodicSpline packed{num::PeriodicCubicSpline(s)};
         const std::size_t lanes = 4096;
         num::Vec t(lanes), out(lanes);
         for (std::size_t l = 0; l < lanes; ++l)
             t[l] = 0.6180339887498949 * static_cast<double>(l);
         const std::size_t reps = smokeMode() ? 1000 : 10000;
-        const auto evalMs = [&](Tier tr) {
-            const auto t0 = std::chrono::steady_clock::now();
-            for (std::size_t r = 0; r < reps; ++r)
-                packed.evalManyAffine(t.data(), out.data(), lanes, 1.7, -0.3, tr);
-            benchmark::DoNotOptimize(out.data());
-            return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                             t0)
-                .count();
+        const auto evalMs = [&](const num::simd::Kernels& kr) {
+            return timeMs([&] {
+                for (std::size_t r = 0; r < reps; ++r)
+                    kr.splineAffine(packed.coefficients().data(), knots, t.data(), out.data(),
+                                    lanes, 1.7, -0.3);
+                benchmark::DoNotOptimize(out.data());
+            });
         };
-        evalMs(tier);  // warm up (table + instruction caches)
-        const double scalarMs = evalMs(Tier::Scalar);
-        const double simdMs = evalMs(tier);
-        std::printf("  spline evalManyAffine (%zu lanes x %zu reps): scalar %8.2f ms | "
+        evalMs(vec);  // warm up (table + instruction caches)
+        const double scalarMs = evalMs(scalar);
+        const double simdMs = evalMs(vec);
+        std::printf("  spline splineAffine (%zu lanes x %zu reps):     scalar %8.2f ms | "
                     "%s %8.2f ms  -> speedup x%.2f\n",
-                    lanes, reps, scalarMs, num::simd::tierName(tier), simdMs,
-                    scalarMs / simdMs);
+                    lanes, reps, scalarMs, vecName, simdMs, scalarMs / simdMs);
         jsonOut().addRow("simdSpeedup", {{"workload", 0},
-                                         {"tier", static_cast<double>(tier)},
+                                         {"tier", static_cast<double>(vec.tier)},
                                          {"scalarMs", scalarMs},
                                          {"simdMs", simdMs},
                                          {"speedup", scalarMs / simdMs}});
     }
 
-    // 2. Monte-Carlo hold-error — the end-to-end stochastic workload
-    //    (packed-spline RHS + ziggurat batch fill + Euler-Maruyama update).
+    // 2. The Monte-Carlo hold-error step — the three kernels
+    //    holdErrorProbability's batched engine runs per step: packed-spline
+    //    RHS, ziggurat batch fill, Euler-Maruyama update.
     {
         const auto& d = bench::design100();
         const core::Gae gae(d.model, d.f1, {d.sync()});
         const double start = gae.stableEquilibria()[0].dphi;
         const std::size_t trials = smokeMode() ? 128 : 512;
-        core::StochasticGaeOptions opt;
-        opt.seed = 7;
-        opt.batch = 64;
-        opt.threads = 1;
-        std::size_t errors = 0;
-        const auto wallMs = [&](bool simdOn) {
-            opt.simd = simdOn;
-            const auto t0 = std::chrono::steady_clock::now();
-            const auto r =
-                core::holdErrorProbability(gae, 2e-7, start, 60.0 / d.f1, trials, opt);
-            errors = r.errors;
-            benchmark::DoNotOptimize(errors);
-            return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                             t0)
-                .count();
+        const std::size_t batch = 64;
+        const double f0 = gae.f0();
+        const double holdTime = 60.0 / d.f1;
+        const std::size_t nSteps = static_cast<std::size_t>(std::ceil(holdTime * 20.0 * f0));
+        const double h = holdTime / static_cast<double>(nSteps);
+        const double sigmaSqrtH = f0 * std::sqrt(2e-7) * std::sqrt(h);
+        const num::Vec& coeffs = gae.gPacked().coefficients();
+        const auto& zig = num::ZigguratNormal::instance();
+        num::Vec phi(trials);
+        const auto runMs = [&](const num::simd::Kernels& kr) {
+            return timeMs([&] {
+                num::Vec drift(batch), z(batch);
+                std::vector<num::SplitMix64> rngs;
+                for (std::size_t lo = 0; lo < trials; lo += batch) {
+                    double* p = phi.data() + lo;
+                    std::fill(p, p + batch, start);
+                    rngs.clear();
+                    for (std::size_t l = 0; l < batch; ++l)
+                        rngs.emplace_back(core::deriveTrialSeed(7, lo + l));
+                    for (std::size_t k = 0; k < nSteps; ++k) {
+                        kr.splineAffine(coeffs.data(), gae.gPacked().size(), p, drift.data(),
+                                        batch, f0, -(d.f1 - f0));
+                        kr.normalFill(zig, rngs.data(), z.data(), batch);
+                        kr.mcUpdate(p, drift.data(), h, sigmaSqrtH, z.data(), batch);
+                    }
+                }
+                benchmark::DoNotOptimize(phi.data());
+            });
         };
-        wallMs(true);  // warm up
-        const double offMs = wallMs(false);
-        const std::size_t offErr = errors;
-        const double onMs = wallMs(true);
-        std::printf("  MC hold-error (%zu trials, batch 64):             scalar %8.2f ms | "
+        runMs(vec);  // warm up
+        const double scalarMs = runMs(scalar);
+        const num::Vec scalarPhi = phi;
+        const double simdMs = runMs(vec);
+        std::printf("  MC hold-error step (%zu trials x %zu steps, batch %zu): scalar %8.2f ms | "
                     "%s %8.2f ms  -> speedup x%.2f\n",
-                    trials, offMs, num::simd::tierName(tier), onMs, offMs / onMs);
-        std::printf("  (error counts identical by the bitwise contract: %zu == %zu)\n\n",
-                    offErr, errors);
+                    trials, nSteps, batch, scalarMs, vecName, simdMs, scalarMs / simdMs);
+        std::printf("  (final phases %s by the bitwise contract)\n\n",
+                    scalarPhi == phi ? "identical" : "DIFFER — contract broken");
         jsonOut().addRow("simdSpeedup", {{"workload", 1},
-                                         {"tier", static_cast<double>(tier)},
-                                         {"scalarMs", offMs},
-                                         {"simdMs", onMs},
-                                         {"speedup", offMs / onMs}});
+                                         {"tier", static_cast<double>(vec.tier)},
+                                         {"scalarMs", scalarMs},
+                                         {"simdMs", simdMs},
+                                         {"speedup", scalarMs / simdMs}});
     }
 }
 

@@ -62,12 +62,6 @@ public:
     void rhsManyPacked(const double* dphi, double* out, std::size_t n) const {
         gPacked_.evalManyAffine(dphi, out, n, f0_, -(f1_ - f0_));
     }
-    /// Tier-selected variant: bitwise-equal to the above on every SIMD tier
-    /// (numeric/simd/simd.hpp lane contract).
-    void rhsManyPacked(const double* dphi, double* out, std::size_t n,
-                       num::simd::Tier tier) const {
-        gPacked_.evalManyAffine(dphi, out, n, f0_, -(f1_ - f0_), tier);
-    }
     const num::PackedPeriodicSpline& gPacked() const { return gPacked_; }
 
     double gMin() const { return gMin_; }

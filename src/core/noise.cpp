@@ -142,12 +142,10 @@ HoldErrorResult holdErrorProbabilityRange(const Gae& gae, double cSeconds, doubl
         const double sqrtH = std::sqrt(h);
         const double sigmaSqrtH = sigma * sqrtH;
         const auto& zig = num::ZigguratNormal::instance();
-        // Tier-selected per-step kernels; every tier is bitwise-identical
+        // Dispatched per-step kernels, bitwise-identical to the scalar loops
         // (lane streams are independent, so drawing all lanes' normals
         // before the update is the same arithmetic as interleaving).
-        const num::simd::Tier tier = num::simd::resolveTier(opt.simd);
-        const num::simd::Kernels& kr = num::simd::kernels(tier);
-        if (tier != num::simd::Tier::Scalar) PHLOGON_COUNT_METRIC("batch.mc.simd");
+        const num::simd::Kernels& kr = num::simd::kernels();
         const std::size_t nBlocks = (trials + opt.batch - 1) / opt.batch;
         num::parallelFor(
             nBlocks,
@@ -160,7 +158,7 @@ HoldErrorResult holdErrorProbabilityRange(const Gae& gae, double cSeconds, doubl
                 for (std::size_t l = 0; l < n; ++l)
                     rngs.emplace_back(deriveTrialSeed(opt.seed, firstTrial + lo + l));
                 for (std::size_t k = 0; k < nSteps; ++k) {
-                    gae.rhsManyPacked(phi.data(), drift.data(), n, tier);
+                    gae.rhsManyPacked(phi.data(), drift.data(), n);
                     kr.normalFill(zig, rngs.data(), z.data(), n);
                     kr.mcUpdate(phi.data(), drift.data(), h, sigmaSqrtH, z.data(), n);
                 }

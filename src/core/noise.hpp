@@ -67,13 +67,6 @@ struct StochasticGaeOptions {
     /// size: every trial's arithmetic depends only on (seed, trial index),
     /// never on how trials are grouped into lanes (DESIGN.md §13).
     std::size_t batch = 0;
-    /// Run the batched engine's per-step kernels (packed-g evaluation,
-    /// ziggurat batch fill, Euler-Maruyama update) on the detected SIMD tier
-    /// (numeric/simd/simd.hpp).  Counts are bitwise-identical either way —
-    /// the kernels satisfy the lane contract — so this is purely a speed
-    /// knob; PHLOGON_SIMD overrides it in both directions.  Ignored by the
-    /// scalar (batch == 0) path.
-    bool simd = false;
 };
 
 struct StochasticGaeResult {

@@ -28,9 +28,8 @@
 
 namespace phlogon::core {
 
-/// Knobs for PhaseSystem::simulateBatched.  All are bitwise-neutral: lanes
-/// are partitioned across blocks/threads, never reduced across, and the
-/// SIMD tiers are bitwise-identical to scalar by contract.
+/// Knobs for PhaseSystem::simulateBatched.  Both are bitwise-neutral: lanes
+/// are partitioned across blocks/threads, never reduced across.
 struct BatchSimOptions {
     /// Worker threads for the per-latch projection loop: 0 = PHLOGON_THREADS
     /// env or hardware concurrency, 1 = serial.
@@ -38,9 +37,6 @@ struct BatchSimOptions {
     /// Lanes per scheduling block; 0 picks a fixed default independent of
     /// the thread count.
     std::size_t blockSize = 0;
-    /// Run the lockstep RK4 stage kernels on the detected SIMD tier
-    /// (numeric/simd/simd.hpp); PHLOGON_SIMD overrides in both directions.
-    bool simd = false;
 };
 
 class PhaseSystem {

@@ -41,24 +41,14 @@ struct BatchOdeSolution {
     bool ok = false;                  ///< every lane converged
 };
 
-/// Per-instance engine knobs.
-struct BatchOptions {
-    /// Run the stage-combination/error-norm/axpy loops on the detected SIMD
-    /// kernel tier (numeric/simd/simd.hpp).  Results are bitwise-identical
-    /// either way (the lane contract); default off keeps the scalar loops so
-    /// the engine has zero behavioral surface unless asked.  The
-    /// PHLOGON_SIMD environment variable overrides this in both directions.
-    bool simd = false;
-};
-
 /// Reusable SoA workspace + driver.  One instance per thread/block; resizing
-/// between solves is allowed (buffers grow monotonically).
+/// between solves is allowed (buffers grow monotonically).  The stage
+/// combinations, error norms and axpys run simd::kernels(), bitwise-equal to
+/// the scalar loops (numeric/simd/simd.hpp lane contract).
 class BatchOde {
 public:
     BatchOde() = default;
-    explicit BatchOde(std::size_t lanes, BatchOptions opt = {}) : opt_(opt) {
-        reserve(lanes);
-    }
+    explicit BatchOde(std::size_t lanes) { reserve(lanes); }
 
     void reserve(std::size_t lanes);
 
@@ -80,7 +70,6 @@ public:
                             std::size_t nSteps, std::size_t storeEvery = 1);
 
 private:
-    BatchOptions opt_{};
     // SoA per-lane state for the current solve.
     Vec t_, y_, h_;
     Vec k1_, k2_, k3_, k4_, k5_, k6_, yt_, y5_, ts_, err_;

@@ -146,22 +146,12 @@ double PackedPeriodicSpline::operator()(double t) const {
 }
 
 void PackedPeriodicSpline::evalMany(const double* t, double* out, std::size_t n) const {
-    evalManyAffine(t, out, n, 1.0, 0.0, simd::Tier::Scalar);
+    evalManyAffine(t, out, n, 1.0, 0.0);
 }
 
 void PackedPeriodicSpline::evalManyAffine(const double* t, double* out, std::size_t n,
                                           double mul, double add) const {
-    evalManyAffine(t, out, n, mul, add, simd::Tier::Scalar);
-}
-
-void PackedPeriodicSpline::evalMany(const double* t, double* out, std::size_t n,
-                                    simd::Tier tier) const {
-    evalManyAffine(t, out, n, 1.0, 0.0, tier);
-}
-
-void PackedPeriodicSpline::evalManyAffine(const double* t, double* out, std::size_t n,
-                                          double mul, double add, simd::Tier tier) const {
-    simd::kernels(tier).splineAffine(c_.data(), n_, t, out, n, mul, add);
+    simd::kernels().splineAffine(c_.data(), n_, t, out, n, mul, add);
 }
 
 double PeriodicCubicSpline::derivative(double t) const {

@@ -9,10 +9,6 @@
 
 namespace phlogon::num {
 
-namespace simd {
-enum class Tier : int;  // numeric/simd/simd.hpp
-}
-
 /// Wrap t into [0, 1).
 double wrap01(double t);
 
@@ -77,21 +73,18 @@ public:
 
     std::size_t size() const { return n_; }
     bool valid() const { return n_ > 0; }
+    /// The 4 coefficients per interval, interval-major (the splineAffine
+    /// kernel layout, numeric/simd/simd.hpp).
+    const Vec& coefficients() const { return c_; }
 
     double operator()(double t) const;
-    /// out[i] = (*this)(t[i]).
+    /// out[i] = (*this)(t[i]).  Both batched forms run simd::kernels(),
+    /// bitwise-equal to operator() (numeric/simd/simd.hpp lane contract).
     void evalMany(const double* t, double* out, std::size_t n) const;
     /// Fused affine form out[i] = add + mul * (*this)(t[i]) — the shape of
     /// the GAE right-hand side, evaluated in one pass per batch step.
     void evalManyAffine(const double* t, double* out, std::size_t n, double mul,
                         double add) const;
-
-    /// Tier-selected variants: same results bitwise on every tier (the SIMD
-    /// lane contract, numeric/simd/simd.hpp); the two-argument overloads
-    /// above always run the Scalar tier.
-    void evalMany(const double* t, double* out, std::size_t n, simd::Tier tier) const;
-    void evalManyAffine(const double* t, double* out, std::size_t n, double mul,
-                        double add, simd::Tier tier) const;
 
 private:
     std::size_t n_ = 0;

@@ -11,10 +11,10 @@
 #include "numeric/simd/kernels_internal.hpp"
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__AVX2__)
-#define PHLOGON_SIMD_AVX2 1
+#define PHLOGON_HAVE_AVX2 1
 #endif
 
-#if defined(PHLOGON_SIMD_AVX2)
+#if defined(PHLOGON_HAVE_AVX2)
 
 #include <immintrin.h>
 
@@ -279,7 +279,7 @@ const Kernels& avx2Kernels() {
 
 }  // namespace phlogon::num::simd::detail
 
-#else  // !PHLOGON_SIMD_AVX2
+#else  // !PHLOGON_HAVE_AVX2
 
 namespace phlogon::num::simd::detail {
 const Kernels& avx2Kernels() { return scalarKernels(); }

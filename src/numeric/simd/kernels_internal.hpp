@@ -1,16 +1,14 @@
 #pragma once
-// Internal seam between the dispatch table (simd.cpp) and the per-tier
-// kernel translation units.  Not part of the public API.
+// Internal seam between the dispatch table (simd.cpp) and the AVX2
+// kernel translation unit.  Not part of the public API.
 
 #include "numeric/simd/simd.hpp"
 
 namespace phlogon::num::simd::detail {
 
-const Kernels& scalarKernels();
-const Kernels& portableKernels();  ///< scalarKernels() if stdx::simd is absent
-const Kernels& avx2Kernels();      ///< scalarKernels() off x86
+const Kernels& avx2Kernels();  ///< scalarKernels() off x86
 
-// Scalar kernel entry points, reused by the wider tiers for remainder
+// Scalar kernel entry points, reused by the AVX2 tier for remainder
 // lanes and mixed-active lane groups (keeping those lanes on the exact
 // scalar arithmetic they would otherwise run).
 void splineAffineScalar(const double* coeffs, std::size_t nSeg, const double* t,

@@ -2,65 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "numeric/interp.hpp"
 #include "numeric/rkf45_tableau.hpp"
 
 namespace phlogon::num::simd {
 
-const char* tierName(Tier t) {
-    switch (t) {
-        case Tier::Avx2: return "avx2";
-        case Tier::Portable: return "portable";
-        default: return "scalar";
-    }
-}
+const char* tierName(Tier t) { return t == Tier::Avx2 ? "avx2" : "scalar"; }
 
-Tier detectedTier() {
-    static const Tier tier = [] {
+const Kernels& kernels() {
+    static const Kernels& k = []() -> const Kernels& {
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-        if (__builtin_cpu_supports("avx2")) return Tier::Avx2;
+        if (__builtin_cpu_supports("avx2")) return detail::avx2Kernels();
 #endif
-        // Portable is always "supported": its table vectorizes what the
-        // toolchain allows and aliases the scalar kernels for the rest.
-        return Tier::Portable;
+        return scalarKernels();
     }();
-    return tier;
-}
-
-EnvMode envMode() {
-    static const EnvMode mode = [] {
-        const char* v = std::getenv("PHLOGON_SIMD");
-        if (!v || !*v || std::strcmp(v, "auto") == 0) return EnvMode::Auto;
-        if (std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0) return EnvMode::ForceOff;
-        if (std::strcmp(v, "1") == 0 || std::strcmp(v, "on") == 0) return EnvMode::ForceOn;
-        // A typo silently changing which numeric tier runs would be a
-        // debugging trap (same policy as PHLOGON_CACHE_MAX_MB parsing).
-        std::fprintf(stderr,
-                     "phlogon: ignoring unrecognized PHLOGON_SIMD='%s' (use 0|1|auto)\n", v);
-        return EnvMode::Auto;
-    }();
-    return mode;
-}
-
-Tier resolveTier(bool optIn) {
-    switch (envMode()) {
-        case EnvMode::ForceOff: return Tier::Scalar;
-        case EnvMode::ForceOn: return detectedTier();
-        default: return optIn ? detectedTier() : Tier::Scalar;
-    }
-}
-
-const Kernels& kernels(Tier tier) {
-    if (static_cast<int>(tier) > static_cast<int>(detectedTier())) tier = detectedTier();
-    switch (tier) {
-        case Tier::Avx2: return detail::avx2Kernels();
-        case Tier::Portable: return detail::portableKernels();
-        default: return detail::scalarKernels();
-    }
+    return k;
 }
 
 namespace detail {
@@ -139,13 +96,14 @@ void mcUpdateScalar(double* phi, const double* drift, double h, double sigmaSqrt
     for (std::size_t l = 0; l < lanes; ++l) phi[l] += drift[l] * h + sigmaSqrtH * z[l];
 }
 
+}  // namespace detail
+
 const Kernels& scalarKernels() {
+    using namespace detail;
     static const Kernels k = {Tier::Scalar,        &splineAffineScalar, &rkStageScalar,
                               &rkf45EmbeddedScalar, &axpyLanesScalar,   &rk4CombineScalar,
                               &normalFillScalar,    &mcUpdateScalar};
     return k;
 }
-
-}  // namespace detail
 
 }  // namespace phlogon::num::simd

@@ -1,22 +1,18 @@
 #pragma once
-// Vectorized kernel tier for the batched engines (ROADMAP item 2, SIMD half).
+// Vectorized kernels for the batched engines (DESIGN.md §18).
 //
-// Each kernel here is a drop-in for an existing scalar loop: the Scalar tier
-// IS that loop, moved verbatim, and the wider tiers perform the same IEEE
-// operations in the same order per lane — multiplies and adds are never
-// contracted into FMAs (the AVX2 translation unit builds with
-// -ffp-contract=off), and lanes never interact.  Consequence: every tier
-// produces bitwise-identical results for the same inputs, so the repo-wide
-// determinism contracts (DESIGN.md §9/§13/§14) hold whichever tier runs.
-// tests/numeric/test_simd.cpp and the simd-parity CI job assert this.
+// Each kernel here is a drop-in for an existing scalar loop: the Scalar
+// table IS that loop, moved verbatim, and the AVX2 table performs the same
+// IEEE operations in the same order per lane — multiplies and adds are
+// never contracted into FMAs (the AVX2 translation unit builds with
+// -ffp-contract=off), and lanes never interact.  Consequence: both tables
+// produce bitwise-identical results for the same inputs, so the repo-wide
+// determinism contracts (DESIGN.md §9/§13/§14) hold whichever one runs.
+// tests/numeric/test_simd.cpp asserts this against scalarKernels().
 //
-// Dispatch: detectedTier() probes the CPU once (cached in a function-local
-// static); engines resolve their effective tier from their opt-in flag
-// (BatchOptions::simd, StochasticGaeOptions::simd, BatchSimOptions::simd)
-// combined with the PHLOGON_SIMD environment override via resolveTier(), and
-// fetch an immutable function-pointer table with kernels().  The default —
-// flag unset, env unset — is the Scalar tier, so all pre-existing
-// bitwise-pinned goldens are reproduced by default.  See DESIGN.md §18.
+// Dispatch is a platform choice, not an option: kernels() probes the CPU
+// once and returns the AVX2 table where cpuid reports AVX2, the scalar
+// table otherwise.  Every engine fetches its kernels from kernels().
 
 #include <cstddef>
 
@@ -24,28 +20,12 @@
 
 namespace phlogon::num::simd {
 
-/// Kernel tiers, widest last.  Portable vectorizes the pure-arithmetic
-/// stage kernels with std::experimental::simd where the toolchain provides
-/// it (table-lookup kernels stay scalar there); Avx2 is the 4-wide x86 tier
-/// with gathered table lookups and a vectorized SplitMix64/ziggurat fast
-/// path.
-enum class Tier : int { Scalar = 0, Portable = 1, Avx2 = 2 };
+/// Kernel tables: the scalar reference loops and the 4-wide x86 AVX2 tier
+/// (gathered table lookups, vectorized SplitMix64/ziggurat fast path).
+enum class Tier : int { Scalar = 0, Avx2 = 1 };
 
-/// Human-readable tier name ("scalar" / "portable" / "avx2").
+/// Human-readable tier name ("scalar" / "avx2").
 const char* tierName(Tier t);
-
-/// Widest tier this CPU supports (probed once, cached).
-Tier detectedTier();
-
-/// PHLOGON_SIMD override: "0"/"off" forces the Scalar tier everywhere,
-/// "1"/"on" forces detectedTier() even where no engine flag opted in,
-/// unset/"auto" defers to the per-engine flag.  Read once and cached.
-enum class EnvMode { ForceOff = 0, Auto = 1, ForceOn = 2 };
-EnvMode envMode();
-
-/// Tier an engine call should actually run: the engine's opt-in flag,
-/// overridden by PHLOGON_SIMD, clamped to what the CPU supports.
-Tier resolveTier(bool optIn);
 
 /// Function-pointer table for one tier.  All kernels share the lane
 /// contract above: per-lane results are bitwise-identical across tiers.
@@ -101,7 +81,11 @@ struct Kernels {
                      const double* z, std::size_t lanes);
 };
 
-/// Cached kernel table for `tier`, clamped to detectedTier().
-const Kernels& kernels(Tier tier);
+/// The kernel table for this CPU (probed once, cached): AVX2 where
+/// supported, scalar otherwise.
+const Kernels& kernels();
+
+/// The scalar reference loops, which every other table must match bitwise.
+const Kernels& scalarKernels();
 
 }  // namespace phlogon::num::simd

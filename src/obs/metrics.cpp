@@ -81,8 +81,10 @@ double Histogram::quantileSeconds(double q) const {
     for (int k = 0; k < kBins; ++k) {
         seen += binCount(k);
         if (static_cast<double>(seen) >= target) {
-            // Geometric midpoint of the [2^k, 2^(k+1)) nanosecond bin.
-            return std::exp2(static_cast<double>(k) + 0.5) / 1e9;
+            // Geometric midpoint of the [2^k, 2^(k+1)) nanosecond bin,
+            // clamped to the observed range (the bin can be wider than it).
+            const double mid = std::exp2(static_cast<double>(k) + 0.5) / 1e9;
+            return std::min(std::max(mid, minSeconds()), maxSeconds());
         }
     }
     return maxSeconds();

@@ -55,6 +55,17 @@ TEST(MetricPrimitives, HistogramCountsAndBounds) {
     EXPECT_EQ(h.count(), 0u);
 }
 
+TEST(MetricPrimitives, HistogramQuantilesStayWithinObservedRange) {
+    // 37.8 ms falls in the [2^25, 2^26) ns bin, whose geometric midpoint is
+    // 47.5 ms: an unclamped quantile would exceed every observed sample.
+    Histogram h;
+    for (int i = 0; i < 4; ++i) h.observe(37.8e-3);
+    for (const double q : {0.5, 0.95, 0.99}) {
+        EXPECT_GE(h.quantileSeconds(q), h.minSeconds()) << "q=" << q;
+        EXPECT_LE(h.quantileSeconds(q), h.maxSeconds()) << "q=" << q;
+    }
+}
+
 #ifndef PHLOGON_NO_OBS
 
 class MetricsOn : public ::testing::Test {
