@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "circuit/dae.hpp"
 #include "numeric/newton.hpp"
@@ -92,6 +93,14 @@ struct BiasPoint {
     MosPolarity pol;
     double vg, vd, vs;
 };
+
+// Names the test case.  Without it gtest prints the struct's raw bytes,
+// including the uninitialized padding after `pol`, so the discovered test
+// names changed from one build (even one listing) to the next.
+void PrintTo(const BiasPoint& b, std::ostream* os) {
+    *os << (b.pol == MosPolarity::Nmos ? "Nmos" : "Pmos") << " vg=" << b.vg << " vd=" << b.vd
+        << " vs=" << b.vs;
+}
 
 class MosfetJacobian : public ::testing::TestWithParam<BiasPoint> {};
 

@@ -328,6 +328,11 @@ TEST(Daemon, FullRunReportIsOptInPerRequest) {
 TEST(Daemon, StatusWindowedLatencyMovesWithInjectedSlowJob) {
     DaemonFixture f("window", /*withSocket=*/false);
 
+    // Warm the latch characterization first: every hold-error-mc job starts
+    // with it, and a cold one costs more than the whole slow MC run below.
+    ASSERT_TRUE(dispatchJson(f.daemon, R"({"type": "characterize-latch", "id": 0})")
+                    .fieldBool("ok", false));
+
     // A quick MC job seeds the per-type window.
     const json::Value quick = dispatchJson(
         f.daemon,
