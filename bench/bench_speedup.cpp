@@ -4,8 +4,8 @@
 // phase co-simulation replaces the FSM's DAE.
 //
 // google-benchmark timings of the three levels for the same workload: the
-// D latch writing a bit over 40 reference cycles, and the serial adder over
-// one bit slot.
+// D latch writing a bit over 40 reference cycles.  The serial adder and the
+// compiled fabrics are timed end to end by perfbench (perfbench/README.md).
 
 // A second axis of efficiency is added by the deterministic parallel sweep
 // engine (numeric/parallel.hpp): the figure sweeps and Monte-Carlo ensembles
@@ -34,8 +34,6 @@
 #include "core/noise.hpp"
 #include "io/checkpoint.hpp"
 #include "io/model_cache.hpp"
-#include "logic/compile.hpp"
-#include "logic/workloads.hpp"
 #include "numeric/interp.hpp"
 #include "numeric/lu.hpp"
 #include "numeric/parallel.hpp"
@@ -298,47 +296,6 @@ void reportSimdSpeedup() {
                                          {"simdMs", simdMs},
                                          {"speedup", scalarMs / simdMs}});
     }
-}
-
-// One-shot fabric-scaling table: the netlist->phase compiler lowers an
-// N-stage shift register onto 2N SHIL latches and the batched SoA engine
-// integrates the whole fabric (gate network re-evaluated per RK stage).
-// Reported figure of merit: simulated reference cycles per wall-clock
-// second vs latch count, up to a 1000-latch fabric.
-void reportFabricScaling() {
-    const auto& osc = bench::osc1n1p();
-    const auto design =
-        logic::designSyncLatch(osc.model(), osc.outputUnknown(), bench::kF1, 300e-6);
-    logic::FabricCompileOptions fopt;
-    fopt.bitPeriodCycles = smokeMode() ? 10.0 : 100.0;  // one clock slot per run
-    const unsigned threads = std::max(4u, num::defaultThreadCount());
-
-    std::printf("Fabric scaling: compiled shift-register fabrics on the batched SoA\n");
-    std::printf("engine (one %g-cycle clock slot, 64 RK4 steps/cycle, %u threads):\n",
-                fopt.bitPeriodCycles, threads);
-    std::printf("  %8s %10s %10s %12s %14s\n", "stages", "latches", "signals", "wall [ms]",
-                "cycles/sec");
-    for (const std::size_t stages : {4u, 20u, 100u, 500u}) {
-        const auto nl = logic::shiftRegister(stages);
-        auto fab = logic::compileFabric(nl, design, {{1}}, fopt);
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto res = fab.sys.simulateBatched(design.f1, 0.0, fab.tEnd(), fab.initialDphi,
-                                                 64, 64, {threads, 0});
-        const double ms =
-            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-                .count();
-        benchmark::DoNotOptimize(res.ok);
-        std::printf("  %8zu %10zu %10zu %12.2f %14.1f%s\n", stages, fab.sys.latchCount(),
-                    fab.sys.signalCount(), ms, fopt.bitPeriodCycles / (ms / 1e3),
-                    fab.sys.latchCount() == 1000 ? "   <- 1000-latch fabric" : "");
-        jsonOut().addRow("fabricScaling",
-                         {{"stages", static_cast<double>(stages)},
-                          {"latches", static_cast<double>(fab.sys.latchCount())},
-                          {"wallMs", ms},
-                          {"cyclesPerSec", fopt.bitPeriodCycles / (ms / 1e3)}});
-    }
-    std::printf("  (trajectories bitwise-identical to the scalar path at any partition;\n");
-    std::printf("   see tests/logic/test_fabric_batch_parity.cpp)\n\n");
 }
 
 // Benchmark-table version: batch size 0 is the scalar engine.
@@ -845,48 +802,6 @@ void BM_LatchPhaseSystem(benchmark::State& state) {
 }
 BENCHMARK(BM_LatchPhaseSystem)->Unit(benchmark::kMillisecond);
 
-void BM_AdderPhaseSystemPerSlot(benchmark::State& state) {
-    const auto& osc = bench::osc1n1p();
-    static const auto design =
-        logic::designSyncLatch(osc.model(), osc.outputUnknown(), bench::kF1, 300e-6);
-    core::PhaseSystem sys;
-    const auto adder = logic::buildPhaseSerialAdder(sys, design, {0, 1}, {0, 1});
-    const num::Vec dphi0{design.reference.phase0 + 0.02, design.reference.phase0 + 0.02};
-    for (auto _ : state) {
-        const auto r = sys.simulate(design.f1, 0.0, adder.bitPeriod, dphi0, 64, 16);
-        benchmark::DoNotOptimize(r.ok);
-    }
-}
-BENCHMARK(BM_AdderPhaseSystemPerSlot)->Unit(benchmark::kMillisecond);
-
-void BM_AdderSpicePerSlot(benchmark::State& state) {
-    ckt::RingOscSpec spec;
-    ckt::RingOscSpec loaded = spec;
-    loaded.outputLoadsOhms = logic::serialAdderLatchLoads();
-    an::PssOptions popt = logic::RingOscCharacterization::defaultPssOptions();
-    popt.freqHint = 10.2e3;
-    static const auto osc = logic::RingOscCharacterization::run(loaded, popt);
-    static const auto design =
-        logic::designSyncLatch(osc.model(), osc.outputUnknown(), osc.f0(), 300e-6);
-    ckt::Netlist nl;
-    logic::SerialAdderOptions opt;
-    opt.bitPeriodCycles = 80;
-    const auto sc = logic::buildSerialAdderCircuit(nl, design, spec, {0, 1}, {0, 1}, opt);
-    ckt::Dae dae(nl);
-    const an::DcopResult dc = an::dcOperatingPoint(dae);
-    num::Vec x0 = dc.x;
-    x0[static_cast<std::size_t>(nl.findNode("lat1.n1"))] += 0.4;
-    x0[static_cast<std::size_t>(nl.findNode("lat2.n1"))] -= 0.4;
-    an::TransientOptions topt;
-    topt.dt = 1.0 / (design.f1 * 200.0);
-    topt.storeEvery = 32;
-    for (auto _ : state) {
-        const auto r = an::transient(dae, x0, 0.0, sc.bitPeriod, topt);
-        benchmark::DoNotOptimize(r.ok);
-    }
-}
-BENCHMARK(BM_AdderSpicePerSlot)->Unit(benchmark::kMillisecond);
-
 // ---------------------------------------------------------------------------
 // Triangular-solve layout micro-benchmark: LuFactor::solveMatrixInto sweeps
 // all RHS columns per pivot row (contiguous rows of the solution matrix),
@@ -1004,14 +919,12 @@ BENCHMARK(BM_MetricsCounterEnabled)->Unit(benchmark::kNanosecond);
 int main(int argc, char** argv) {
     bench::banner("Speedup", "phase macromodels vs SPICE-level transient (paper Secs. 2/4)");
     bench::threadInfo();
-    std::printf("Workloads: D-latch bit write over 40 cycles; serial adder over one %d-cycle\n",
-                80);
-    std::printf("bit slot.  Expect the GAE (scalar ODE) to be orders of magnitude faster\n");
+    std::printf("Workload: D-latch bit write over 40 cycles.  Expect the GAE (scalar ODE)\n");
+    std::printf("to be orders of magnitude faster than SPICE-level transient\n");
     std::printf("and the non-averaged phase system to sit in between.\n\n");
     reportSweepSpeedup();
     reportBatchSpeedup();
     reportSimdSpeedup();
-    reportFabricScaling();
     reportSolverStrategies();
     reportSparseScaling();
     reportCacheAndCheckpoint();

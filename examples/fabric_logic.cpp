@@ -1,5 +1,5 @@
 // Fabric compiler walkthrough: write a tiny structural netlist, compile it
-// onto oscillator phase logic, run the batched phase-ODE engine, and decode
+// onto oscillator phase logic, run the phase-ODE engine, and decode
 // the answer back to bits.  Also shows the quasi-static FabricIdealSim used
 // by the equivalence harness to check big combinational cones cheaply.
 
@@ -29,15 +29,14 @@ int main() {
     )");
 
     // 3. Compile onto a PhaseSystem (4 SHIL latches + majority gates) and
-    //    integrate the coupled phase ODEs with the batched engine.
+    //    integrate the coupled phase ODEs (all latches as lockstep lanes).
     const std::size_t ticks = 6;
     auto fab = logic::compileFabric(counter, design,
                                     std::vector<std::vector<int>>(ticks));  // no inputs
     std::printf("counter fabric: %zu latches, %zu signals\n", fab.sys.latchCount(),
                 fab.sys.signalCount());
 
-    const auto res =
-        fab.sys.simulateBatched(design.f1, 0.0, fab.tEnd(), fab.initialDphi, 64, 8);
+    const auto res = fab.sys.simulate(design.f1, 0.0, fab.tEnd(), fab.initialDphi, 64, 8);
     const auto decoded = logic::decodeFabricRun(fab, res);
 
     std::vector<int> state(counter.dffs().size(), 0);

@@ -143,16 +143,21 @@ PssResult shootingPss(const Dae& dae, const PssOptions& opt) {
     OBS_SPAN("pss.shoot");
     const auto wallStart = std::chrono::steady_clock::now();
     PssResult res;
-    const auto finish = [&res, wallStart] {
+    // The dcop and warm-up transients record their own work, so only the
+    // shooting's is recorded as "pss"; theirs is folded in for callers after.
+    num::SolverCounters nested;
+    const auto finish = [&res, &nested, wallStart] {
         res.counters.wallSeconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - wallStart).count();
         obs::recordSolverCounters("pss", res.counters);
+        nested.wallSeconds = 0.0;  // res already holds the whole PSS wall time
+        res.counters += nested;
     };
     const std::size_t n = dae.size();
 
     // 1. DC operating point + deterministic asymmetric kick.
     const DcopResult dc = dcOperatingPoint(dae);
-    res.counters += dc.counters;
+    nested += dc.counters;
     if (!dc.ok) {
         res.message = "DC operating point failed: " + dc.message;
         finish();
@@ -173,7 +178,7 @@ PssResult shootingPss(const Dae& dae, const PssOptions& opt) {
     for (int attempt = 0; attempt < 3; ++attempt) {
         OBS_SPAN("pss.warmup");
         warm = transient(dae, x, 0.0, warmupSpan, trOpt);
-        res.counters += warm.counters;
+        nested += warm.counters;
         if (!warm.ok) {
             res.message = "warmup transient failed: " + warm.message;
             finish();

@@ -151,115 +151,11 @@ double PhaseSystem::evalSignal(SignalId id, double t, double f1, const num::Vec&
     return 0.0;
 }
 
-double PhaseSystem::evalSignalCached(SignalId id, double t, double f1, const num::Vec& dphi,
-                                     EvalCache& cache) const {
-    const auto idx = static_cast<std::size_t>(id);
-    if (cache.stamp[idx] == cache.cur && cache.t[idx] == t) {
-        ++cache.hits;
-        return cache.v[idx];
-    }
-    const Signal& s = signals_[idx];
-    double val = 0.0;
-    switch (s.kind) {
-        case SignalKind::Gate: {
-            double sum = 0.0;
-            for (const auto& [in, w] : s.inputs)
-                sum += w * evalSignalCached(in, t, f1, dphi, cache);
-            if (s.invert) sum = -sum;
-            if (s.clip > 0.0) sum = s.clip * std::tanh(sum / s.clip);
-            val = sum;
-            break;
-        }
-        case SignalKind::Placeholder:
-            if (s.target < 0)
-                throw std::logic_error("PhaseSystem: unbound placeholder '" + s.label + "'");
-            val = evalSignalCached(s.target, t, f1, dphi, cache);
-            break;
-        default:
-            // External / LatchOutput leaves: one arithmetic home, shared
-            // with the uncached path.
-            val = evalSignal(id, t, f1, dphi);
-            break;
-    }
-    ++cache.misses;
-    cache.stamp[idx] = cache.cur;
-    cache.t[idx] = t;
-    cache.v[idx] = val;
-    return val;
-}
-
-PhaseSystem::Result PhaseSystem::simulate(double f1, double t0, double t1, const num::Vec& dphi0,
-                                          std::size_t stepsPerCycle, std::size_t storeEvery) const {
-    OBS_SPAN("phase.simulate");
-    Result res;
-    const std::size_t k = latches_.size();
-    if (dphi0.size() != k)
-        throw std::invalid_argument("PhaseSystem::simulate: dphi0 size mismatch");
-    if (!(f1 > 0) || !(t1 > t0)) throw std::invalid_argument("PhaseSystem::simulate: bad span");
-
-    // One memo shared across the whole run; a stamp bump per RK stage makes
-    // prior-stage entries stale without clearing (dphi changes every stage).
-    EvalCache cache;
-    cache.stamp.assign(signals_.size(), 0);
-    cache.t.assign(signals_.size(), 0.0);
-    cache.v.assign(signals_.size(), 0.0);
-
-    const num::OdeRhs rhs = [&](double t, const num::Vec& y) {
-        ++cache.cur;
-        num::Vec dy(k);
-        for (std::size_t i = 0; i < k; ++i) {
-            const PpvModel& m = *latches_[i].model;
-            const double theta = f1 * t + y[i];
-            double proj = 0.0;
-            for (const Connection& c : connections_[i]) {
-                const double tSig = t - c.delayCycles / f1;
-                proj += m.ppvAt(c.unknownIndex, theta) * c.gain *
-                        evalSignalCached(c.signal, tSig, f1, y, cache);
-            }
-            dy[i] = (m.f0() - f1) + m.f0() * proj;
-        }
-        return dy;
-    };
-
-    const std::size_t nSteps =
-        static_cast<std::size_t>(std::ceil((t1 - t0) * f1 * static_cast<double>(stepsPerCycle)));
-    const num::OdeSolution sol = num::rk4(rhs, dphi0, t0, t1, std::max<std::size_t>(nSteps, 1));
-    PHLOGON_ADD_METRIC("batch.phase.memo.hits", cache.hits);
-    PHLOGON_ADD_METRIC("batch.phase.memo.misses", cache.misses);
-    if (!sol.ok) return res;
-
-    res.dphi.assign(k, num::Vec());
-    res.vout.assign(k, num::Vec());
-    for (std::size_t p = 0; p < sol.t.size(); ++p) {
-        if (p % storeEvery != 0 && p + 1 != sol.t.size()) continue;
-        res.t.push_back(sol.t[p]);
-        for (std::size_t i = 0; i < k; ++i) {
-            const PpvModel& m = *latches_[i].model;
-            res.dphi[i].push_back(sol.y[p][i]);
-            res.vout[i].push_back(
-                m.xsAt(m.outputUnknown(), f1 * sol.t[p] + sol.y[p][i]));
-        }
-    }
-    res.ok = true;
-    return res;
-}
-
 PhaseSystem::Program::Program(const PhaseSystem& sys) : sys_(&sys) {
     const std::size_t n = sys.signals_.size();
-
-    // Collapse placeholder chains (bindPlaceholder guarantees acyclicity).
-    resolved_.assign(n, -1);
-    for (std::size_t i = 0; i < n; ++i) {
-        SignalId id = static_cast<SignalId>(i);
-        while (sys.signals_[static_cast<std::size_t>(id)].kind == SignalKind::Placeholder) {
-            const SignalId tgt = sys.signals_[static_cast<std::size_t>(id)].target;
-            if (tgt < 0)
-                throw std::logic_error("PhaseSystem::Program: unbound placeholder '" +
-                                       sys.signals_[static_cast<std::size_t>(id)].label + "'");
-            id = tgt;
-        }
-        resolved_[i] = id;
-    }
+    for (const Signal& s : sys.signals_)
+        if (s.kind == SignalKind::Placeholder && s.target < 0)
+            throw std::logic_error("PhaseSystem::Program: unbound placeholder '" + s.label + "'");
 
     // Dependency-sorted evaluation order over ALL signals (iterative DFS
     // postorder).  addGate only accepts earlier ids, but a bound placeholder
@@ -297,11 +193,37 @@ PhaseSystem::Program::Program(const PhaseSystem& sys) : sys_(&sys) {
     }
 }
 
+std::vector<PhaseSystem::SignalId> PhaseSystem::Program::cone(
+    const std::vector<SignalId>& roots) const {
+    // order_ places every signal after its inputs, so one reverse sweep marks
+    // the whole cone and one forward filter keeps it in evaluation order.
+    const auto& sigs = sys_->signals_;
+    std::vector<unsigned char> inCone(sigs.size(), 0);
+    for (const SignalId r : roots) inCone[static_cast<std::size_t>(r)] = 1;
+    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+        if (!inCone[static_cast<std::size_t>(*it)]) continue;
+        const Signal& s = sigs[static_cast<std::size_t>(*it)];
+        if (s.kind == SignalKind::Gate) {
+            for (const auto& [in, w] : s.inputs) {
+                (void)w;
+                inCone[static_cast<std::size_t>(in)] = 1;
+            }
+        } else if (s.kind == SignalKind::Placeholder) {
+            inCone[static_cast<std::size_t>(s.target)] = 1;
+        }
+    }
+    std::vector<SignalId> sub;
+    for (const SignalId id : order_)
+        if (inCone[static_cast<std::size_t>(id)]) sub.push_back(id);
+    return sub;
+}
+
 void PhaseSystem::Program::eval(double t, double f1, const double* dphi,
+                                const std::vector<SignalId>& sub,
                                 std::vector<double>& out) const {
     const auto& sigs = sys_->signals_;
     out.resize(sigs.size());
-    for (const SignalId id : order_) {
+    for (const SignalId id : sub) {
         const auto idx = static_cast<std::size_t>(id);
         const Signal& s = sigs[idx];
         switch (s.kind) {
@@ -332,25 +254,21 @@ void PhaseSystem::Program::eval(double t, double f1, const double* dphi,
     }
 }
 
-PhaseSystem::Result PhaseSystem::simulateBatched(double f1, double t0, double t1,
-                                                 const num::Vec& dphi0,
-                                                 std::size_t stepsPerCycle, std::size_t storeEvery,
-                                                 const BatchSimOptions& opt) const {
-    OBS_SPAN("phase.simulateBatched");
+PhaseSystem::Result PhaseSystem::simulate(double f1, double t0, double t1, const num::Vec& dphi0,
+                                          std::size_t stepsPerCycle, std::size_t storeEvery) const {
+    OBS_SPAN("phase.simulate");
     Result res;
     const std::size_t k = latches_.size();
     if (dphi0.size() != k)
-        throw std::invalid_argument("PhaseSystem::simulateBatched: dphi0 size mismatch");
-    if (!(f1 > 0) || !(t1 > t0))
-        throw std::invalid_argument("PhaseSystem::simulateBatched: bad span");
+        throw std::invalid_argument("PhaseSystem::simulate: dphi0 size mismatch");
+    if (!(f1 > 0) || !(t1 > t0)) throw std::invalid_argument("PhaseSystem::simulate: bad span");
 
     const Program prog(*this);
 
     // Group connections by exact delay value: one sparse gate-network pass
-    // per (RK stage, distinct delay) computes every signal any latch reads at
-    // that shifted time.  The group time uses the same expression as the
-    // scalar path's per-connection tSig = t - delayCycles / f1, so signal
-    // values match bit-for-bit.
+    // per (RK stage, distinct delay), over the cone of the signals that group
+    // reads.  The group time is evalSignal's per-connection argument
+    // t - delayCycles / f1, so signal values match it bit-for-bit.
     struct FlatConn {
         std::size_t unknownIndex;
         std::size_t group;
@@ -358,30 +276,39 @@ PhaseSystem::Result PhaseSystem::simulateBatched(double f1, double t0, double t1
         double gain;
     };
     std::vector<double> groupDelay;
+    std::vector<std::vector<SignalId>> groupReads;
     std::vector<std::vector<FlatConn>> conns(k);
     for (std::size_t i = 0; i < k; ++i) {
         conns[i].reserve(connections_[i].size());
         for (const Connection& c : connections_[i]) {
             std::size_t g = 0;
             while (g < groupDelay.size() && groupDelay[g] != c.delayCycles) ++g;
-            if (g == groupDelay.size()) groupDelay.push_back(c.delayCycles);
+            if (g == groupDelay.size()) {
+                groupDelay.push_back(c.delayCycles);
+                groupReads.emplace_back();
+            }
+            groupReads[g].push_back(c.signal);
             conns[i].push_back({c.unknownIndex, g, c.signal, c.gain});
         }
     }
     const std::size_t groups = groupDelay.size();
+    std::vector<std::vector<SignalId>> cone(groups);
+    std::size_t coneSignals = 0;
+    for (std::size_t g = 0; g < groups; ++g) {
+        cone[g] = prog.cone(groupReads[g]);
+        coneSignals += cone[g].size();
+    }
 
-    // Lane partition for the projection loop.  Each lane writes only its own
-    // dydt slot and reads only shared immutable data, so the block size and
-    // thread count are bitwise-neutral knobs (parallelFor's slot-per-index
-    // contract) — asserted by tests/logic/test_fabric_batch_parity.cpp.
-    const std::size_t block = opt.blockSize > 0 ? opt.blockSize : 128;
-    const std::size_t nBlocks = k == 0 ? 0 : (k + block - 1) / block;
+    // Each lane writes only its own dydt slot and reads only shared immutable
+    // data, so the fixed block partition and the thread count are
+    // bitwise-neutral (parallelFor's slot-per-index contract).
+    const std::size_t nBlocks = (k + kLaneBlock - 1) / kLaneBlock;
 
     std::vector<std::vector<double>> sig(groups);
     const num::BatchRhsCoupled rhs = [&](double t, const double* y, double* dydt,
                                          std::size_t lanes) {
         for (std::size_t g = 0; g < groups; ++g)
-            prog.eval(t - groupDelay[g] / f1, f1, y, sig[g]);
+            prog.eval(t - groupDelay[g] / f1, f1, y, cone[g], sig[g]);
         auto lane = [&](std::size_t i) {
             const PpvModel& m = *latches_[i].model;
             const double theta = f1 * t + y[i];
@@ -392,14 +319,11 @@ PhaseSystem::Result PhaseSystem::simulateBatched(double f1, double t0, double t1
             dydt[i] = (m.f0() - f1) + m.f0() * proj;
         };
         if (nBlocks > 1) {
-            num::parallelFor(
-                nBlocks,
-                [&](std::size_t b) {
-                    const std::size_t lo = b * block;
-                    const std::size_t hi = std::min(lanes, lo + block);
-                    for (std::size_t i = lo; i < hi; ++i) lane(i);
-                },
-                opt.threads);
+            num::parallelFor(nBlocks, [&](std::size_t b) {
+                const std::size_t lo = b * kLaneBlock;
+                const std::size_t hi = std::min(lanes, lo + kLaneBlock);
+                for (std::size_t i = lo; i < hi; ++i) lane(i);
+            });
         } else {
             for (std::size_t i = 0; i < lanes; ++i) lane(i);
         }
@@ -413,6 +337,7 @@ PhaseSystem::Result PhaseSystem::simulateBatched(double f1, double t0, double t1
     PHLOGON_ADD_METRIC("batch.fabric.lanes", k);
     PHLOGON_ADD_METRIC("batch.fabric.delayGroups", groups);
     PHLOGON_ADD_METRIC("batch.fabric.signals", signals_.size());
+    PHLOGON_ADD_METRIC("batch.fabric.coneSignals", coneSignals);
     if (!sol.ok) return res;
 
     res.dphi.assign(k, num::Vec());

@@ -17,7 +17,6 @@
 // with optional inversion and soft clipping — the signal-domain equivalent
 // of the breadboard's resistive-feedback op-amp gates).
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -27,17 +26,6 @@
 #include "numeric/ode.hpp"
 
 namespace phlogon::core {
-
-/// Knobs for PhaseSystem::simulateBatched.  Both are bitwise-neutral: lanes
-/// are partitioned across blocks/threads, never reduced across.
-struct BatchSimOptions {
-    /// Worker threads for the per-latch projection loop: 0 = PHLOGON_THREADS
-    /// env or hardware concurrency, 1 = serial.
-    unsigned threads = 0;
-    /// Lanes per scheduling block; 0 picks a fixed default independent of
-    /// the thread count.
-    std::size_t blockSize = 0;
-};
 
 class PhaseSystem {
 public:
@@ -98,50 +86,62 @@ public:
         std::vector<num::Vec> vout;
     };
 
+    /// Lanes per scheduling block of the per-latch projection loop.  Fixed,
+    /// so the partition never depends on the thread count.
+    static constexpr std::size_t kLaneBlock = 128;
+
     /// Integrate all latch phases over [t0, t1] with fixed-step RK4
     /// (`stepsPerCycle` steps per reference cycle resolves the fast-varying
-    /// eq.-13 right-hand side).
+    /// eq.-13 right-hand side), storing every `storeEvery`-th step plus the
+    /// first and last points.  All latch phases advance as num::BatchOde
+    /// lanes in lockstep: per RK stage, one Program pass per distinct
+    /// coupling delay, restricted to the dependency cone of the signals that
+    /// delay group reads, then a per-latch projection loop run in
+    /// kLaneBlock-lane blocks across the thread pool (PHLOGON_THREADS).
+    /// Bitwise identical to num::rk4 over evalSignal at any fabric size and
+    /// thread count: see DESIGN.md §14.  Throws std::logic_error if any
+    /// placeholder is unbound.
     Result simulate(double f1, double t0, double t1, const num::Vec& dphi0,
                     std::size_t stepsPerCycle = 64, std::size_t storeEvery = 1) const;
 
-    /// Compiled evaluation program over the signal DAG: placeholder chains
-    /// collapsed, every signal placed in one topologically-sorted order, gate
-    /// fan-in read from a dense value array.  eval() computes all signals at
-    /// one (t, dphi) in a single sparse pass — each signal exactly once, with
+    /// Forwards to simulate().  Kept only because the benchmark's fabric
+    /// workloads (perfbench/src/fabric.cpp) call it by this name, and that
+    /// code changes only with the benchmark; new code calls simulate().
+    Result simulateBatched(double f1, double t0, double t1, const num::Vec& dphi0,
+                           std::size_t stepsPerCycle = 64, std::size_t storeEvery = 1) const {
+        return simulate(f1, t0, t1, dphi0, stepsPerCycle, storeEvery);
+    }
+
+    /// Compiled evaluation program over the signal DAG: every signal placed
+    /// in one topologically-sorted order, placeholders read through, gate
+    /// fan-in read from a dense value array.  eval() computes signals at one
+    /// (t, dphi) in a single sparse pass — each signal exactly once, with
     /// the same per-signal arithmetic (and per-gate summation order) as
     /// evalSignal, so values are bitwise identical to the recursive path.
     ///
     /// The Program borrows the PhaseSystem: it stays valid only while the
     /// system outlives it and no signals/latches are added.  Construction
-    /// throws std::logic_error if any placeholder is unbound (the scalar path
-    /// defers that error to first evaluation).
+    /// throws std::logic_error if any placeholder is unbound (signalValue
+    /// defers that error to the evaluation that reaches it).
     class Program {
     public:
         explicit Program(const PhaseSystem& sys);
         /// out[id] = value of signal id at time t; resized to signalCount().
-        void eval(double t, double f1, const double* dphi, std::vector<double>& out) const;
         void eval(double t, double f1, const num::Vec& dphi, std::vector<double>& out) const {
-            eval(t, f1, dphi.data(), out);
+            eval(t, f1, dphi.data(), order_, out);
         }
-        /// Non-placeholder signal `id` ultimately resolves to.
-        SignalId resolved(SignalId id) const { return resolved_.at(static_cast<std::size_t>(id)); }
+        /// Same pass restricted to `sub`, a sub-order from cone(): only
+        /// out[id] for id in `sub` is written.
+        void eval(double t, double f1, const double* dphi, const std::vector<SignalId>& sub,
+                  std::vector<double>& out) const;
+        /// The evaluation order filtered to the signals `roots` depend on
+        /// (roots included; latch outputs and externals end a path).
+        std::vector<SignalId> cone(const std::vector<SignalId>& roots) const;
 
     private:
         const PhaseSystem* sys_;
-        std::vector<SignalId> resolved_;  ///< placeholder chains collapsed
-        std::vector<SignalId> order_;     ///< dependency-sorted evaluation order
+        std::vector<SignalId> order_;  ///< dependency-sorted evaluation order
     };
-
-    /// Batched fabric engine: same reduced system as simulate(), but all
-    /// latch phases advance through num::BatchOde SoA lanes in lockstep — one
-    /// topologically-sorted sparse gate-network pass per RK stage and delay
-    /// group (Program::eval) instead of per-latch recursive walks, and a
-    /// flat per-latch projection loop that parallelizes over lane blocks.
-    /// Bitwise-identical to simulate() at any fabric size, block partition,
-    /// and thread count: see DESIGN.md §14 for the determinism argument.
-    Result simulateBatched(double f1, double t0, double t1, const num::Vec& dphi0,
-                           std::size_t stepsPerCycle = 64, std::size_t storeEvery = 1,
-                           const BatchSimOptions& opt = {}) const;
 
 private:
     struct Latch {
@@ -176,24 +176,6 @@ private:
     /// theta = f1*t' + dphi (dphi treated as constant over a delay of a
     /// fraction of a cycle).
     double evalSignal(SignalId id, double t, double f1, const num::Vec& dphi) const;
-
-    /// Per-stage memo for signal evaluation inside simulate(): evalSignal is
-    /// a pure function of (id, t, f1, dphi), so during one gate-network
-    /// evaluation (one RK stage, all latches advanced as a batch) each
-    /// signal is computed at most once per distinct time argument — latches
-    /// sharing gate fan-in stop re-walking the DAG.  Bitwise-neutral: a
-    /// cached value is exactly what the recursion would return, and the
-    /// gates' summation order is unchanged.
-    struct EvalCache {
-        std::vector<std::uint64_t> stamp;
-        std::vector<double> t;
-        std::vector<double> v;
-        std::uint64_t cur = 0;
-        std::size_t hits = 0;
-        std::size_t misses = 0;
-    };
-    double evalSignalCached(SignalId id, double t, double f1, const num::Vec& dphi,
-                            EvalCache& cache) const;
 
     std::vector<Latch> latches_;
     std::vector<std::vector<Connection>> connections_;  // per latch

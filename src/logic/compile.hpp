@@ -67,7 +67,7 @@ struct CompiledFabric {
     /// Lowered flip-flops, aligned with netlist.dffs().
     std::vector<FabricDffRefs> dffs;
     /// Start phases (all latches at the logic-0 lock phase): pass to
-    /// simulate / simulateBatched.
+    /// PhaseSystem::simulate.
     num::Vec initialDphi;
 
     double tEnd() const { return static_cast<double>(slots) * bitPeriod; }

@@ -63,9 +63,8 @@ public:
     /// arithmetic is an exact mirror of num::rk4 on a `lanes`-dimensional
     /// state, so when `f` reproduces the scalar RHS values bit-for-bit the
     /// returned trajectory is bitwise identical to num::rk4 — the contract
-    /// PhaseSystem::simulateBatched builds on.  Stored points are the initial
-    /// point, every storeEvery-th step, and the final step (matching the
-    /// storeEvery filter PhaseSystem::simulate applies to rk4 output).
+    /// PhaseSystem::simulate builds on.  Stored points are the initial
+    /// point, every storeEvery-th step, and the final step.
     OdeSolution rk4Lockstep(const BatchRhsCoupled& f, const Vec& y0, double t0, double t1,
                             std::size_t nSteps, std::size_t storeEvery = 1);
 

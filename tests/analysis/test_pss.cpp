@@ -7,6 +7,7 @@
 #include "analysis/waveform.hpp"
 #include "circuit/subckt.hpp"
 #include "common/osc_fixture.hpp"
+#include "obs/metrics.hpp"
 
 namespace phlogon::an {
 namespace {
@@ -128,6 +129,30 @@ TEST(ShootingPss, WaveformPeakMatchesPaperConvention) {
     EXPECT_GT(model.waveformPeak(), 0.0);
     EXPECT_LT(model.waveformPeak(), 1.0);
 }
+
+#ifndef PHLOGON_NO_OBS
+TEST(ShootingPss, RegistryCountsEachFactorizationOnce) {
+    // dcop and the warm-up transients record their own counters; PSS must
+    // add only the shooting's, so the registry grows by exactly the folded
+    // total the result reports.
+    ckt::Netlist nl;
+    ckt::buildRingOscillator(nl, "osc", ckt::RingOscSpec{});
+    ckt::Dae dae(nl);
+    auto& reg = obs::MetricsRegistry::instance();
+    const bool wasEnabled = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    const std::uint64_t lu0 = reg.counter("lu.factorizations").value();
+    const std::uint64_t it0 = reg.counter("newton.iters").value();
+    const PssResult r = shootingPss(dae, PssOptions{});
+    const std::uint64_t lu1 = reg.counter("lu.factorizations").value();
+    const std::uint64_t it1 = reg.counter("newton.iters").value();
+    obs::setMetricsEnabled(wasEnabled);
+    ASSERT_TRUE(r.ok) << r.message;
+    EXPECT_EQ(lu1 - lu0, r.counters.luFactorizations);
+    EXPECT_EQ(it1 - it0, r.counters.newtonIters);
+    EXPECT_GT(r.counters.luFactorizations, 0u);
+}
+#endif
 
 }  // namespace
 }  // namespace phlogon::an

@@ -178,12 +178,11 @@ TEST(PhaseSystem, ConnectValidatesIndices) {
 }
 
 TEST(PhaseSystem, SharedSignalMemoizationIsBitwiseNeutral) {
-    // Two latches driven by the same external signal: the second latch's
-    // connection evaluation hits the per-stage memo cache instead of
-    // re-evaluating the signal.  The cache stores the computed double, so
-    // each latch's trajectory must be bitwise identical to a single-latch
-    // system with the same drive (simulate uses fixed-step RK4, so the time
-    // grids coincide exactly).
+    // Two latches driven by the same external signal: the signal is
+    // evaluated once per RK stage into the Program's value array and both
+    // latches read that one double, so each latch's trajectory must be
+    // bitwise identical to a single-latch system with the same drive
+    // (simulate uses fixed-step RK4, so the time grids coincide exactly).
     const double f1 = testutil::kF1;
     auto drive = [f1](double t) { return 100e-6 * std::cos(kTwoPi * 2.0 * f1 * t); };
     const double start = 0.1;
@@ -212,8 +211,8 @@ TEST(PhaseSystem, SharedSignalMemoizationIsBitwiseNeutral) {
 }
 
 TEST(PhaseSystem, RepeatedSimulationsAreBitwiseReproducible) {
-    // Guards the memo cache's stamp management: re-running simulate on the
-    // same system (stale cache entries from the previous run) must change
+    // simulate keeps no state between calls (each builds its own Program,
+    // cones and value arrays): re-running it on the same system must change
     // nothing.
     PhaseSystem sys;
     const auto latch = sys.addLatch(model(), "osc");
@@ -228,6 +227,40 @@ TEST(PhaseSystem, RepeatedSimulationsAreBitwiseReproducible) {
     ASSERT_EQ(r1.t.size(), r2.t.size());
     for (std::size_t i = 0; i < r1.t.size(); ++i)
         EXPECT_EQ(r1.dphi[0][i], r2.dphi[0][i]);
+}
+
+TEST(PhaseSystem, UnreadSignalIsNeverEvaluated) {
+    // Each delay group's pass covers only the dependency cone of the signals
+    // that group reads: an External no connection reaches is never called,
+    // and adding it (with a gate on it) leaves the trajectory bitwise equal.
+    const double f1 = testutil::kF1;
+    auto drive = [f1](double t) { return 100e-6 * std::cos(kTwoPi * 2.0 * f1 * t); };
+    int unreadCalls = 0;
+    auto run = [&](bool withUnread) {
+        PhaseSystem sys;
+        const auto latch = sys.addLatch(model(), "osc");
+        const auto sync = sys.addExternal(drive, "sync");
+        if (withUnread) {
+            const auto unread = sys.addExternal(
+                [&unreadCalls](double) {
+                    ++unreadCalls;
+                    return 1.0;
+                },
+                "unread");
+            sys.addGate({{unread, 1.0}, {sync, 1.0}}, false, 0.0, "unreadGate");
+        }
+        const auto g = sys.addGate({{sync, 1.0}}, false, 0.0);
+        sys.connect(latch, injNode(), g, 1.0);
+        sys.connect(latch, injNode(), sync, 0.5, 0.2);  // a second delay group
+        return sys.simulate(f1, 0.0, 15.0 / f1, num::Vec{0.2});
+    };
+    const auto base = run(false);
+    const auto extra = run(true);
+    ASSERT_TRUE(base.ok && extra.ok);
+    EXPECT_EQ(unreadCalls, 0);
+    EXPECT_EQ(extra.t, base.t);
+    EXPECT_EQ(extra.dphi, base.dphi);
+    EXPECT_EQ(extra.vout, base.vout);
 }
 
 TEST(PhaseSystem, TwoLatchesIndependentWhenUncoupled) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "io/artifact.hpp"
 
@@ -17,7 +18,10 @@ using num::Vec;
 class SerializeTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = fs::temp_directory_path() / "phlogon_io_serialize_test";
+        // Per-test name: ctest runs each case as its own, possibly parallel, process.
+        dir_ = fs::temp_directory_path() /
+               (std::string("phlogon_io_serialize_test_") +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name());
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }

@@ -1,12 +1,18 @@
-// Batched-vs-scalar determinism contract: PhaseSystem::simulateBatched must
-// produce BITWISE-identical trajectories to PhaseSystem::simulate for any
-// fabric, any batch partition (blockSize) and any thread count — the batched
-// engine is a performance path, never a numerical one.  EXPECT_EQ on doubles
-// below is deliberate: exact equality, no tolerance.
+// Determinism contract of the one phase engine.  PhaseSystem::simulate
+// integrates eq. 13 with num::BatchOde::rk4Lockstep (a term-for-term mirror
+// of num::rk4) over compiled Program passes (each signal computed with
+// evalSignal's arithmetic and fan-in order), restricted per delay group to a
+// dependency cone and split into fixed lane blocks across threads.  So:
+//   * Program::eval must equal the recursive reference signalValue bitwise;
+//   * the result must not depend on the thread count;
+//   * the stored grid is the rk4 grid thinned by storeEvery, last point kept.
+// EXPECT_EQ on doubles below is deliberate: exact equality, no tolerance.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -35,6 +41,27 @@ void expectBitwiseEqual(const PhaseSystem::Result& a, const PhaseSystem::Result&
         EXPECT_EQ(a.vout[i], b.vout[i]) << what << ": latch " << i << " vout differs";
 }
 
+/// Program::eval against the recursive evalSignal at seeded random
+/// (t, dphi): every signal, bitwise.
+void expectProgramMatchesSignalValue(const PhaseSystem& sys, double f1, double tEnd,
+                                     const char* what) {
+    const PhaseSystem::Program prog(sys);
+    std::mt19937_64 rng(0x5EED);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::vector<double> out;
+    for (int sample = 0; sample < 16; ++sample) {
+        const double t = tEnd * unit(rng);
+        num::Vec dphi(sys.latchCount());
+        for (double& d : dphi) d = unit(rng);
+        prog.eval(t, f1, dphi, out);
+        ASSERT_EQ(out.size(), sys.signalCount());
+        for (std::size_t id = 0; id < out.size(); ++id)
+            EXPECT_EQ(out[id],
+                      sys.signalValue(static_cast<PhaseSystem::SignalId>(id), t, f1, dphi))
+                << what << ": signal " << id << " at sample " << sample;
+    }
+}
+
 /// RAII PHLOGON_THREADS override.
 struct ScopedThreadsEnv {
     explicit ScopedThreadsEnv(const char* value) {
@@ -55,7 +82,7 @@ struct ScopedThreadsEnv {
 
 }  // namespace
 
-TEST(FabricBatchParity, SerialAdderScalarVsBatched) {
+TEST(FabricBatchParity, SerialAdderDecodes) {
     const auto& design = testutil::sharedFsmDesign();
     core::PhaseSystem sys;
     const auto adder =
@@ -63,68 +90,74 @@ TEST(FabricBatchParity, SerialAdderScalarVsBatched) {
     const num::Vec dphi0(sys.latchCount(), design.reference.phase0 + 0.02);
     const double t1 = static_cast<double>(adder.nBits) * adder.bitPeriod;
 
-    const auto scalar = sys.simulate(design.f1, 0.0, t1, dphi0, 64, 8);
-    for (const core::BatchSimOptions opt :
-         {core::BatchSimOptions{}, core::BatchSimOptions{1, 1}, core::BatchSimOptions{4, 7}}) {
-        const auto batched = sys.simulateBatched(design.f1, 0.0, t1, dphi0, 64, 8, opt);
-        expectBitwiseEqual(scalar, batched, "serial adder");
-    }
-
-    // Decoded answer is (a fortiori) identical and correct: 1011 + 1101.
-    const auto batched = sys.simulateBatched(design.f1, 0.0, t1, dphi0, 64, 8);
-    const auto [sums, couts] = decodeSerialAdderRun(sys, adder, batched, design.reference);
+    // 1011 + 1101, LSB first.
+    const auto res = sys.simulate(design.f1, 0.0, t1, dphi0, 64, 8);
+    ASSERT_TRUE(res.ok);
+    const auto [sums, couts] = decodeSerialAdderRun(sys, adder, res, design.reference);
     EXPECT_EQ(sums, (logic::Bits{0, 0, 0, 1}));
     EXPECT_EQ(couts, (logic::Bits{1, 1, 1, 1}));
 }
 
-TEST(FabricBatchParity, RippleAdder16ScalarVsBatchedAcrossPartitions) {
+TEST(FabricBatchParity, ProgramMatchesSignalValueBitwise) {
+    const auto& design = testutil::sharedFsmDesign();
+    {
+        // Hand-built FSM: placeholder feedback through the carry flip-flop.
+        core::PhaseSystem sys;
+        const auto adder = buildPhaseSerialAdder(sys, design, {1, 0, 1, 1}, {1, 1, 0, 1});
+        expectProgramMatchesSignalValue(
+            sys, design.f1, static_cast<double>(adder.nBits) * adder.bitPeriod, "serial adder");
+    }
     // 16-bit registered ripple adder: 34 latches, deep carry cones — the
-    // stress case for signal-evaluation order and delay-group handling.
+    // stress case for evaluation order.
     const auto nl = logic::registeredRippleAdder(16);
     const std::vector<std::vector<int>> vectors{
-        logic::toBits(0x1B35F | (0x0F0F0ull << 16), 33),  // a=0x.., b=0x.., cin packed LSB-first
+        logic::toBits(0x1B35F | (0x0F0F0ull << 16), 33),  // a, b, cin packed LSB-first
         logic::toBits(0x2AAAA | (0x15555ull << 16), 33),
     };
-    const auto fab = logic::compileFabric(nl, testutil::sharedFsmDesign(), vectors);
+    const auto fab = logic::compileFabric(nl, design, vectors);
     ASSERT_EQ(fab.sys.latchCount(), 34u);
-
-    const auto scalar =
-        fab.sys.simulate(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, 16);
-    for (const core::BatchSimOptions opt :
-         {core::BatchSimOptions{1, 0}, core::BatchSimOptions{1, 1}, core::BatchSimOptions{4, 7},
-          core::BatchSimOptions{4, 33}}) {
-        const auto batched =
-            fab.sys.simulateBatched(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, 16, opt);
-        expectBitwiseEqual(scalar, batched, "ripple16");
-    }
+    expectProgramMatchesSignalValue(fab.sys, testutil::kF1, fab.tEnd(), "ripple16");
 }
 
 TEST(FabricBatchParity, ThreadsFromEnvironmentAreBitwiseNeutral) {
-    const auto nl = logic::upCounter(3);
+    // 140 latches: more than one kLaneBlock, so the projection loop runs
+    // as parallel blocks on the pool PHLOGON_THREADS sizes.
+    const auto nl = logic::shiftRegister(70);
+    logic::FabricCompileOptions opt;
+    opt.bitPeriodCycles = 10.0;
     const auto fab = logic::compileFabric(nl, testutil::sharedFsmDesign(),
-                                          std::vector<std::vector<int>>(2));
-    const auto scalar =
-        fab.sys.simulate(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, 8);
-    for (const char* threads : {"1", "2", "4"}) {
+                                          std::vector<std::vector<int>>{{1}}, opt);
+    ASSERT_GT(fab.sys.latchCount(), PhaseSystem::kLaneBlock);
+    auto run = [&](const char* threads) {
         ScopedThreadsEnv env(threads);
-        // threads=0 defers to PHLOGON_THREADS; blockSize 1 maximizes the
-        // number of parallel work items.
-        const auto batched = fab.sys.simulateBatched(testutil::kF1, 0.0, fab.tEnd(),
-                                                     fab.initialDphi, 64, 8, {0, 1});
-        expectBitwiseEqual(scalar, batched, threads);
-    }
+        return fab.sys.simulate(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, 8);
+    };
+    const auto serial = run("1");
+    for (const char* threads : {"2", "4"}) expectBitwiseEqual(serial, run(threads), threads);
 }
 
 TEST(FabricBatchParity, UnevenStoreEveryKeepsLastPoint) {
     const auto nl = logic::shiftRegister(1);
     const auto fab = logic::compileFabric(nl, testutil::sharedFsmDesign(),
                                           std::vector<std::vector<int>>{{1}});
-    // storeEvery = 5 does not divide the step count: both paths must keep
-    // the same thinned grid including the final point.
-    const auto scalar =
-        fab.sys.simulate(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, 5);
-    const auto batched =
-        fab.sys.simulateBatched(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, 5);
-    expectBitwiseEqual(scalar, batched, "storeEvery=5");
-    EXPECT_DOUBLE_EQ(scalar.t.back(), fab.tEnd());
+    // storeEvery = 7 does not divide the 6400 steps of one 100-cycle slot:
+    // the stored grid is steps 0, 7, 14, ... plus the final step, on rk4's
+    // t0 + h * i grid.
+    const std::size_t storeEvery = 7;
+    const auto res =
+        fab.sys.simulate(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, storeEvery);
+    ASSERT_TRUE(res.ok);
+    const auto nSteps =
+        static_cast<std::size_t>(std::ceil(fab.tEnd() * testutil::kF1 * 64.0));
+    ASSERT_NE(nSteps % storeEvery, 0u);
+    const double h = fab.tEnd() / static_cast<double>(nSteps);
+    std::vector<double> want;
+    for (std::size_t i = 0; i < nSteps; i += storeEvery) want.push_back(h * static_cast<double>(i));
+    want.push_back(h * static_cast<double>(nSteps));
+    EXPECT_EQ(res.t, want);
+    EXPECT_DOUBLE_EQ(res.t.back(), fab.tEnd());
+    for (std::size_t i = 0; i < fab.sys.latchCount(); ++i) {
+        EXPECT_EQ(res.dphi[i].size(), want.size()) << "latch " << i;
+        EXPECT_EQ(res.vout[i].size(), want.size()) << "latch " << i;
+    }
 }

@@ -7,7 +7,7 @@
 //     network (weights, constants, normalizers, clock gating) decoded by
 //     correlation.  Cheap enough for >= 256 SplitMix64 random vectors per
 //     fabric plus exhaustive input sweeps for widths <= 8.
-//   * full phase-ODE runs (simulateBatched) — spot-check the dynamics on the
+//   * full phase-ODE runs (simulate) — spot-check the dynamics on the
 //     small sequential fabrics.
 
 #include <gtest/gtest.h>
@@ -142,8 +142,7 @@ TEST(FabricEquivalence, UpCounter2FullOde) {
     const std::size_t ticks = 6;
     const auto fab = logic::compileFabric(nl, testutil::sharedFsmDesign(),
                                           std::vector<std::vector<int>>(ticks));
-    const auto res = fab.sys.simulateBatched(testutil::kF1, 0.0, fab.tEnd(),
-                                             fab.initialDphi, 64, 8);
+    const auto res = fab.sys.simulate(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, 8);
     ASSERT_TRUE(res.ok);
     const auto decoded = logic::decodeFabricRun(fab, res);
     std::vector<int> state(nl.dffs().size(), 0);
@@ -155,8 +154,7 @@ TEST(FabricEquivalence, RegisteredRippleAdder2FullOde) {
     const auto nl = logic::registeredRippleAdder(2);
     const auto vectors = randomVectors(0xFEED, 6, nl.inputs().size());
     const auto fab = logic::compileFabric(nl, testutil::sharedFsmDesign(), vectors);
-    const auto res = fab.sys.simulateBatched(testutil::kF1, 0.0, fab.tEnd(),
-                                             fab.initialDphi, 64, 8);
+    const auto res = fab.sys.simulate(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, 8);
     ASSERT_TRUE(res.ok);
     const auto decoded = logic::decodeFabricRun(fab, res);
     std::vector<int> state(nl.dffs().size(), 0);
@@ -168,8 +166,7 @@ TEST(FabricEquivalence, ShiftRegister2FullOde) {
     const auto nl = logic::shiftRegister(2);
     const std::vector<std::vector<int>> vectors{{1}, {0}, {1}, {1}, {0}, {0}};
     const auto fab = logic::compileFabric(nl, testutil::sharedFsmDesign(), vectors);
-    const auto res = fab.sys.simulateBatched(testutil::kF1, 0.0, fab.tEnd(),
-                                             fab.initialDphi, 64, 8);
+    const auto res = fab.sys.simulate(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, 8);
     ASSERT_TRUE(res.ok);
     const auto decoded = logic::decodeFabricRun(fab, res);
     std::vector<int> state(nl.dffs().size(), 0);

@@ -27,7 +27,10 @@ namespace json = io::json;
 class LogFile : public ::testing::Test {
 protected:
     void SetUp() override {
-        path_ = fs::temp_directory_path() / "phlogon_log_test.jsonl";
+        // Per-test name: ctest runs each case as its own, possibly parallel, process.
+        path_ = fs::temp_directory_path() /
+                (std::string("phlogon_log_test_") +
+                 ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".jsonl");
         fs::remove(path_);
     }
     void TearDown() override {

@@ -79,7 +79,10 @@ TEST(TraceRead, DetectsImproperNesting) {
 class TraceGolden : public ::testing::Test {
 protected:
     void SetUp() override {
-        path_ = fs::temp_directory_path() / "phlogon_trace_test.json";
+        // Per-test name: ctest runs each case as its own, possibly parallel, process.
+        path_ = fs::temp_directory_path() /
+                (std::string("phlogon_trace_test_") +
+                 ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".json");
         fs::remove(path_);
         Tracer::instance().start(path_.string());
     }
@@ -282,7 +285,7 @@ TEST_F(TraceGolden, MergePreservesArgsFlowsAndRemapsTids) {
     }
     Tracer::instance().stop();
     ASSERT_TRUE(Tracer::instance().write());
-    const fs::path pathB = fs::temp_directory_path() / "phlogon_trace_test_b.json";
+    const fs::path pathB = fs::path(path_).replace_extension(".b.json");
     fs::remove(pathB);
 
     // Second trace (a "restarted daemon"): same traceId string re-interned in

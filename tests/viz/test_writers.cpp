@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace phlogon::viz {
 namespace {
@@ -14,7 +15,10 @@ namespace fs = std::filesystem;
 class WritersTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = fs::temp_directory_path() / "phlogon_viz_test";
+        // Per-test name: ctest runs each case as its own, possibly parallel, process.
+        dir_ = fs::temp_directory_path() /
+               (std::string("phlogon_viz_test_") +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name());
         fs::remove_all(dir_);
     }
     void TearDown() override { fs::remove_all(dir_); }
