@@ -27,7 +27,6 @@
 
 #include "analysis/dcop.hpp"
 #include "analysis/transient.hpp"
-#include "analysis/trap_util.hpp"
 #include "common.hpp"
 #include "core/gae_sweep.hpp"
 #include "core/gae_transient.hpp"
@@ -353,9 +352,8 @@ BENCHMARK(BM_GaeBitFlipScalarLoop)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecon
 
 // ---------------------------------------------------------------------------
 // Solver strategy table: the same SPICE-level D-latch bit-write transient
-// run under the solver engine's strategies, against a faithful replica of
-// the pre-workspace implementation (per-step allocating callbacks and a
-// fresh Newton scratch + LU for every step), which is the honest "before".
+// run under the solver engine's strategies, each against the default (full
+// Newton on the shared workspaces).
 
 struct LatchWorkload {
     ckt::Netlist nl;
@@ -382,87 +380,6 @@ struct LatchWorkload {
     }
 };
 
-/// Pre-workspace transient replica: the exact fixed-step TRAP loop the
-/// analysis layer used before the shared ImplicitStepper existed.  Each step
-/// builds fresh allocating residual/Jacobian lambdas and calls the
-/// allocating newtonSolve overload (per-call Newton scratch + LU).
-an::TransientResult baselineTransient(const ckt::Dae& dae, const num::Vec& x0, double t1,
-                                      double dt, const num::NewtonOptions& newtonOpt) {
-    const auto wallStart = std::chrono::steady_clock::now();
-    an::TransientResult res;
-    num::Vec xk = x0;
-    num::Vec qk = dae.evalQ(0.0, xk);
-    num::Vec fk = dae.evalF(0.0, xk);
-    res.counters.rhsEvals += 2;
-    const std::vector<bool> alg = an::detail::algebraicRows(dae.evalC(0.0, xk));
-    double tk = 0.0;
-    res.t.push_back(tk);
-    res.x.push_back(xk);
-    num::Vec xNew, qNew;
-    std::size_t stepIndex = 0;
-    while (tk < t1 - 0.5 * dt) {
-        double h = std::min(dt, t1 - tk);
-        bool done = false;
-        for (int halving = 0; halving <= 8; ++halving) {
-            const double tNew = tk + h;
-            num::Vec q, f;
-            num::Matrix c, g;
-            const num::ResidualFn residual = [&](const num::Vec& x) {
-                num::Vec qv, fv;
-                dae.eval(tNew, x, qv, fv, nullptr, nullptr);
-                num::Vec r(qv.size());
-                for (std::size_t i = 0; i < r.size(); ++i) {
-                    const double w = an::detail::newWeight(alg, i, true);
-                    r[i] = (qv[i] - qk[i]) / h + w * fv[i] + (1.0 - w) * fk[i];
-                }
-                return r;
-            };
-            const num::JacobianFn jacobian = [&](const num::Vec& x) {
-                dae.eval(tNew, x, q, f, &c, &g);
-                num::Matrix j = c;
-                j *= 1.0 / h;
-                for (std::size_t r = 0; r < j.rows(); ++r) {
-                    const double w = an::detail::newWeight(alg, r, true);
-                    for (std::size_t cc = 0; cc < j.cols(); ++cc) j(r, cc) += w * g(r, cc);
-                }
-                return j;
-            };
-            xNew = xk;
-            const num::NewtonResult nr = num::newtonSolve(residual, jacobian, xNew, newtonOpt);
-            res.counters += nr.counters;
-            if (nr.converged) {
-                dae.eval(tNew, xNew, qNew, f, nullptr, nullptr);
-                ++res.counters.rhsEvals;
-                done = true;
-                break;
-            }
-            ++res.counters.rejectedSteps;
-            h *= 0.5;
-        }
-        if (!done) {
-            res.message = "Newton failed at t=" + std::to_string(tk);
-            return res;
-        }
-        tk += h;
-        xk = xNew;
-        qk = qNew;
-        fk = dae.evalF(tk, xk);
-        ++res.counters.rhsEvals;
-        ++stepIndex;
-        ++res.counters.steps;
-        if (stepIndex % 16 == 0 || tk >= t1 - 1e-18) {
-            res.t.push_back(tk);
-            res.x.push_back(xk);
-        }
-    }
-    res.ok = true;
-    res.message = "ok";
-    res.counters.wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wallStart).count();
-    res.newtonIterationsTotal = res.counters.newtonIters;
-    return res;
-}
-
 double maxRelDiff(const num::Vec& a, const num::Vec& b) {
     double m = 0.0;
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -485,8 +402,6 @@ void reportSolverStrategies() {
     base.storeEvery = 16;
 
     std::vector<Row> rows;
-    rows.push_back({"baseline (pre-workspace alloc)",
-                    baselineTransient(w.dae, w.x0, w.t1, w.dt, base.newton)});
     rows.push_back({"full Newton + workspaces", an::transient(w.dae, w.x0, 0.0, w.t1, base)});
     an::TransientOptions chord = base;
     chord.newton.jacobianReuse = true;
@@ -515,7 +430,8 @@ void reportSolverStrategies() {
                           {"newtonIters", static_cast<double>(c.newtonIters)},
                           {"speedup", b.counters.wallSeconds / c.wallSeconds}});
     }
-    std::printf("  (maxrel = final-state max relative deviation from the baseline row;\n");
+    std::printf("  (speedup and maxrel = wall-time ratio and final-state max relative\n");
+    std::printf("   deviation against the full-Newton row;\n");
     std::printf("   the adaptive row trades LTE-controlled accuracy for fewer steps)\n\n");
 }
 

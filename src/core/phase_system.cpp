@@ -186,72 +186,105 @@ PhaseSystem::Program::Program(const PhaseSystem& sys) : sys_(&sys) {
                 }
             } else {
                 state[idx] = 2;
-                order_.push_back(id);
+                order_.push_back(static_cast<std::uint32_t>(id));
                 stack.pop_back();
             }
         }
     }
-}
 
-std::vector<PhaseSystem::SignalId> PhaseSystem::Program::cone(
-    const std::vector<SignalId>& roots) const {
-    // order_ places every signal after its inputs, so one reverse sweep marks
-    // the whole cone and one forward filter keeps it in evaluation order.
-    const auto& sigs = sys_->signals_;
-    std::vector<unsigned char> inCone(sigs.size(), 0);
-    for (const SignalId r : roots) inCone[static_cast<std::size_t>(r)] = 1;
-    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-        if (!inCone[static_cast<std::size_t>(*it)]) continue;
-        const Signal& s = sigs[static_cast<std::size_t>(*it)];
-        if (s.kind == SignalKind::Gate) {
+    // Placeholder read-through: in dependency order a target is resolved
+    // before any placeholder that names it.
+    target_.resize(n);
+    for (const std::uint32_t id : order_) {
+        const Signal& s = sys.signals_[id];
+        target_[id] = s.kind == SignalKind::Placeholder
+                          ? target_[static_cast<std::size_t>(s.target)]
+                          : id;
+    }
+    inStart_.assign(n + 1, 0);
+    for (std::size_t id = 0; id < n; ++id) {
+        const Signal& s = sys.signals_[id];
+        if (s.kind == SignalKind::Gate)
             for (const auto& [in, w] : s.inputs) {
                 (void)w;
-                inCone[static_cast<std::size_t>(in)] = 1;
+                inId_.push_back(target_[static_cast<std::size_t>(in)]);
             }
-        } else if (s.kind == SignalKind::Placeholder) {
-            inCone[static_cast<std::size_t>(s.target)] = 1;
-        }
+        inStart_[id + 1] = static_cast<std::uint32_t>(inId_.size());
     }
-    std::vector<SignalId> sub;
-    for (const SignalId id : order_)
-        if (inCone[static_cast<std::size_t>(id)]) sub.push_back(id);
-    return sub;
 }
 
-void PhaseSystem::Program::eval(double t, double f1, const double* dphi,
-                                const std::vector<SignalId>& sub,
-                                std::vector<double>& out) const {
-    const auto& sigs = sys_->signals_;
-    out.resize(sigs.size());
-    for (const SignalId id : sub) {
-        const auto idx = static_cast<std::size_t>(id);
-        const Signal& s = sigs[idx];
+PhaseSystem::Program::Pass PhaseSystem::Program::compile(
+    const std::vector<unsigned char>& keep) const {
+    Pass p;
+    p.faninStart.push_back(0);
+    for (const std::uint32_t id : order_) {
+        if (!keep[id]) continue;
+        const Signal& s = sys_->signals_[id];
         switch (s.kind) {
             case SignalKind::External:
-                out[idx] = s.external(t);
+                p.extOut.push_back(id);
+                p.extFn.push_back(&s.external);
                 break;
-            case SignalKind::LatchOutput: {
-                // Same expression as evalSignal's LatchOutput case.
-                const PpvModel& m = *sys_->latches_[static_cast<std::size_t>(s.latch)].model;
-                const double theta = f1 * t + dphi[static_cast<std::size_t>(s.latch)];
-                out[idx] = std::cos(2.0 * std::numbers::pi * (theta - m.dphiPeak()));
+            case SignalKind::LatchOutput:
+                p.latchOut.push_back(id);
+                p.latchIdx.push_back(static_cast<std::uint32_t>(s.latch));
+                p.latchPeak.push_back(
+                    sys_->latches_[static_cast<std::size_t>(s.latch)].model->dphiPeak());
                 break;
-            }
-            case SignalKind::Gate: {
-                // Fan-in summed in declaration order, exactly as the
-                // recursive walk sums it — the bitwise-parity anchor.
-                double sum = 0.0;
-                for (const auto& [in, w] : s.inputs) sum += w * out[static_cast<std::size_t>(in)];
-                if (s.invert) sum = -sum;
-                if (s.clip > 0.0) sum = s.clip * std::tanh(sum / s.clip);
-                out[idx] = sum;
+            case SignalKind::Gate:
+                p.gateOut.push_back(id);
+                for (std::size_t j = 0; j < s.inputs.size(); ++j) {
+                    p.faninId.push_back(inId_[inStart_[id] + j]);
+                    p.faninW.push_back(s.inputs[j].second);
+                }
+                p.faninStart.push_back(static_cast<std::uint32_t>(p.faninId.size()));
+                p.gateInvert.push_back(s.invert ? 1 : 0);
+                p.gateClip.push_back(s.clip);
                 break;
-            }
             case SignalKind::Placeholder:
-                out[idx] = out[static_cast<std::size_t>(s.target)];
+                p.aliasOut.push_back(id);
+                p.aliasTarget.push_back(target_[id]);
                 break;
         }
     }
+    return p;
+}
+
+PhaseSystem::Program::Pass PhaseSystem::Program::cone(const std::vector<SignalId>& roots) const {
+    // order_ places every signal after its inputs, so one reverse sweep marks
+    // the whole cone.  Fan-in is already read through placeholders, so only a
+    // placeholder named as a root is kept (as an alias of its target).
+    std::vector<unsigned char> inCone(order_.size(), 0);
+    for (const SignalId r : roots) {
+        inCone[static_cast<std::size_t>(r)] = 1;
+        inCone[target_[static_cast<std::size_t>(r)]] = 1;
+    }
+    for (auto it = order_.rbegin(); it != order_.rend(); ++it)
+        if (inCone[*it])
+            for (std::uint32_t j = inStart_[*it]; j < inStart_[*it + 1]; ++j) inCone[inId_[j]] = 1;
+    return compile(inCone);
+}
+
+void PhaseSystem::Program::eval(double t, double f1, const double* dphi, const Pass& p,
+                                double* out) const {
+    // Each expression is evalSignal's for that kind, term for term.
+    for (std::size_t i = 0; i < p.extOut.size(); ++i) out[p.extOut[i]] = (*p.extFn[i])(t);
+    for (std::size_t i = 0; i < p.latchOut.size(); ++i) {
+        const double theta = f1 * t + dphi[p.latchIdx[i]];
+        out[p.latchOut[i]] = std::cos(2.0 * std::numbers::pi * (theta - p.latchPeak[i]));
+    }
+    for (std::size_t g = 0; g < p.gateOut.size(); ++g) {
+        // Fan-in summed in declaration order, exactly as the recursive walk
+        // sums it — the bitwise-parity anchor.
+        double sum = 0.0;
+        for (std::uint32_t j = p.faninStart[g]; j < p.faninStart[g + 1]; ++j)
+            sum += p.faninW[j] * out[p.faninId[j]];
+        if (p.gateInvert[g]) sum = -sum;
+        const double clip = p.gateClip[g];
+        if (clip > 0.0) sum = clip * std::tanh(sum / clip);
+        out[p.gateOut[g]] = sum;
+    }
+    for (std::size_t i = 0; i < p.aliasOut.size(); ++i) out[p.aliasOut[i]] = out[p.aliasTarget[i]];
 }
 
 PhaseSystem::Result PhaseSystem::simulate(double f1, double t0, double t1, const num::Vec& dphi0,
@@ -264,22 +297,29 @@ PhaseSystem::Result PhaseSystem::simulate(double f1, double t0, double t1, const
     if (!(f1 > 0) || !(t1 > t0)) throw std::invalid_argument("PhaseSystem::simulate: bad span");
 
     const Program prog(*this);
+    const std::size_t n = signals_.size();
 
     // Group connections by exact delay value: one sparse gate-network pass
     // per (RK stage, distinct delay), over the cone of the signals that group
     // reads.  The group time is evalSignal's per-connection argument
-    // t - delayCycles / f1, so signal values match it bit-for-bit.
+    // t - delayCycles / f1, so signal values match it bit-for-bit.  Group g's
+    // values live at sig[g * n ...]; a connection keeps its flat offset.
+    //
+    // PPV dedupe: a latch evaluates ppvAt once per distinct injected unknown
+    // (its terms, first-use order) into its own ppv[] slots, and each
+    // connection reads its unknown's slot.  ppvAt is pure, so the product
+    // and the connection-order sum are unchanged bit for bit.
     struct FlatConn {
-        std::size_t unknownIndex;
-        std::size_t group;
-        SignalId signal;
+        std::uint32_t term;   ///< index into ppv
+        std::uint32_t sigAt;  ///< index into sig
         double gain;
     };
     std::vector<double> groupDelay;
     std::vector<std::vector<SignalId>> groupReads;
-    std::vector<std::vector<FlatConn>> conns(k);
+    std::vector<std::size_t> connStart{0}, termStart{0};
+    std::vector<FlatConn> conns;
+    std::vector<std::size_t> termUnknown;
     for (std::size_t i = 0; i < k; ++i) {
-        conns[i].reserve(connections_[i].size());
         for (const Connection& c : connections_[i]) {
             std::size_t g = 0;
             while (g < groupDelay.size() && groupDelay[g] != c.delayCycles) ++g;
@@ -287,35 +327,46 @@ PhaseSystem::Result PhaseSystem::simulate(double f1, double t0, double t1, const
                 groupDelay.push_back(c.delayCycles);
                 groupReads.emplace_back();
             }
-            groupReads[g].push_back(c.signal);
-            conns[i].push_back({c.unknownIndex, g, c.signal, c.gain});
+            const SignalId read = prog.resolve(c.signal);
+            groupReads[g].push_back(read);
+            std::size_t u = termStart[i];
+            while (u < termUnknown.size() && termUnknown[u] != c.unknownIndex) ++u;
+            if (u == termUnknown.size()) termUnknown.push_back(c.unknownIndex);
+            conns.push_back({static_cast<std::uint32_t>(u),
+                             static_cast<std::uint32_t>(g * n + static_cast<std::size_t>(read)),
+                             c.gain});
         }
+        connStart.push_back(conns.size());
+        termStart.push_back(termUnknown.size());
     }
     const std::size_t groups = groupDelay.size();
-    std::vector<std::vector<SignalId>> cone(groups);
+    std::vector<Program::Pass> cone;
+    cone.reserve(groups);
     std::size_t coneSignals = 0;
     for (std::size_t g = 0; g < groups; ++g) {
-        cone[g] = prog.cone(groupReads[g]);
+        cone.push_back(prog.cone(groupReads[g]));
         coneSignals += cone[g].size();
     }
 
-    // Each lane writes only its own dydt slot and reads only shared immutable
-    // data, so the fixed block partition and the thread count are
+    // Each lane writes only its own dydt and ppv slots and reads only shared
+    // immutable data, so the fixed block partition and the thread count are
     // bitwise-neutral (parallelFor's slot-per-index contract).
     const std::size_t nBlocks = (k + kLaneBlock - 1) / kLaneBlock;
 
-    std::vector<std::vector<double>> sig(groups);
+    std::vector<double> sig(groups * n);
+    std::vector<double> ppv(termUnknown.size());
     const num::BatchRhsCoupled rhs = [&](double t, const double* y, double* dydt,
                                          std::size_t lanes) {
         for (std::size_t g = 0; g < groups; ++g)
-            prog.eval(t - groupDelay[g] / f1, f1, y, cone[g], sig[g]);
+            prog.eval(t - groupDelay[g] / f1, f1, y, cone[g], sig.data() + g * n);
         auto lane = [&](std::size_t i) {
             const PpvModel& m = *latches_[i].model;
             const double theta = f1 * t + y[i];
+            for (std::size_t u = termStart[i]; u < termStart[i + 1]; ++u)
+                ppv[u] = m.ppvAt(termUnknown[u], theta);
             double proj = 0.0;
-            for (const FlatConn& c : conns[i])
-                proj += m.ppvAt(c.unknownIndex, theta) * c.gain *
-                        sig[c.group][static_cast<std::size_t>(c.signal)];
+            for (std::size_t c = connStart[i]; c < connStart[i + 1]; ++c)
+                proj += ppv[conns[c].term] * conns[c].gain * sig[conns[c].sigAt];
             dydt[i] = (m.f0() - f1) + m.f0() * proj;
         };
         if (nBlocks > 1) {
@@ -338,6 +389,8 @@ PhaseSystem::Result PhaseSystem::simulate(double f1, double t0, double t1, const
     PHLOGON_ADD_METRIC("batch.fabric.delayGroups", groups);
     PHLOGON_ADD_METRIC("batch.fabric.signals", signals_.size());
     PHLOGON_ADD_METRIC("batch.fabric.coneSignals", coneSignals);
+    PHLOGON_ADD_METRIC("batch.fabric.connections", conns.size());
+    PHLOGON_ADD_METRIC("batch.fabric.ppvTerms", termUnknown.size());
     if (!sol.ok) return res;
 
     res.dphi.assign(k, num::Vec());

@@ -17,6 +17,7 @@
 // with optional inversion and soft clipping — the signal-domain equivalent
 // of the breadboard's resistive-feedback op-amp gates).
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -97,7 +98,8 @@ public:
     /// lanes in lockstep: per RK stage, one Program pass per distinct
     /// coupling delay, restricted to the dependency cone of the signals that
     /// delay group reads, then a per-latch projection loop run in
-    /// kLaneBlock-lane blocks across the thread pool (PHLOGON_THREADS).
+    /// kLaneBlock-lane blocks across the thread pool (PHLOGON_THREADS) that
+    /// evaluates each latch's PPV once per distinct injected unknown.
     /// Bitwise identical to num::rk4 over evalSignal at any fabric size and
     /// thread count: see DESIGN.md §14.  Throws std::logic_error if any
     /// placeholder is unbound.
@@ -112,35 +114,76 @@ public:
         return simulate(f1, t0, t1, dphi0, stepsPerCycle, storeEvery);
     }
 
-    /// Compiled evaluation program over the signal DAG: every signal placed
-    /// in one topologically-sorted order, placeholders read through, gate
-    /// fan-in read from a dense value array.  eval() computes signals at one
-    /// (t, dphi) in a single sparse pass — each signal exactly once, with
-    /// the same per-signal arithmetic (and per-gate summation order) as
-    /// evalSignal, so values are bitwise identical to the recursive path.
+    /// Compiled evaluation program over the signal DAG, as flat arrays:
+    /// externals (function pointers), latch outputs (latch index and
+    /// dphiPeak) and gates (CSR fan-in ids and weights, invert, clip), each
+    /// list in dependency order.  Placeholders are read through at compile
+    /// time: a gate's fan-in id names the placeholder's target, so a pass
+    /// never copies a placeholder unless the caller asked for it by id.
+    /// eval() computes every signal of a pass once, with the same per-signal
+    /// arithmetic (and per-gate summation order) as evalSignal, so values are
+    /// bitwise identical to the recursive path (DESIGN.md §13).
     ///
-    /// The Program borrows the PhaseSystem: it stays valid only while the
-    /// system outlives it and no signals/latches are added.  Construction
-    /// throws std::logic_error if any placeholder is unbound (signalValue
+    /// The Program and its passes borrow the PhaseSystem: they stay valid
+    /// only while the system outlives them and no signals/latches are
+    /// added.  Construction throws std::logic_error if any placeholder is unbound (signalValue
     /// defers that error to the evaluation that reaches it).
     class Program {
     public:
+        /// One compiled pass: the signals it writes, grouped by kind, each
+        /// group in evaluation order.  Sources (externals, latch outputs)
+        /// depend on nothing, so they run first; gates follow in dependency
+        /// order; aliases copy a placeholder's target last.
+        struct Pass {
+            std::vector<std::uint32_t> extOut;
+            std::vector<const std::function<double(double)>*> extFn;
+            std::vector<std::uint32_t> latchOut;
+            std::vector<std::uint32_t> latchIdx;
+            std::vector<double> latchPeak;  ///< dphiPeak of the latch's model
+            std::vector<std::uint32_t> gateOut;
+            std::vector<std::uint32_t> faninStart;  ///< CSR rows, gateOut.size() + 1
+            std::vector<std::uint32_t> faninId;     ///< placeholders read through
+            std::vector<double> faninW;
+            std::vector<unsigned char> gateInvert;
+            std::vector<double> gateClip;
+            std::vector<std::uint32_t> aliasOut;     ///< placeholder ids...
+            std::vector<std::uint32_t> aliasTarget;  ///< ...and their resolved targets
+            /// Signals the pass writes.
+            std::size_t size() const {
+                return extOut.size() + latchOut.size() + gateOut.size() + aliasOut.size();
+            }
+        };
+
         explicit Program(const PhaseSystem& sys);
-        /// out[id] = value of signal id at time t; resized to signalCount().
+        /// out[id] = value of signal id at time t, for every id; resized to
+        /// signalCount().  Compiles the all-signal pass on every call, so it
+        /// suits checks; a loop should run a cone() pass built once.
         void eval(double t, double f1, const num::Vec& dphi, std::vector<double>& out) const {
-            eval(t, f1, dphi.data(), order_, out);
+            out.resize(signalCount());
+            eval(t, f1, dphi.data(), compile(std::vector<unsigned char>(signalCount(), 1)),
+                 out.data());
         }
-        /// Same pass restricted to `sub`, a sub-order from cone(): only
-        /// out[id] for id in `sub` is written.
-        void eval(double t, double f1, const double* dphi, const std::vector<SignalId>& sub,
-                  std::vector<double>& out) const;
-        /// The evaluation order filtered to the signals `roots` depend on
-        /// (roots included; latch outputs and externals end a path).
-        std::vector<SignalId> cone(const std::vector<SignalId>& roots) const;
+        /// Run `pass` (from cone()): writes out[id] for each id the pass
+        /// holds and nothing else.  `out` holds signalCount() values.
+        void eval(double t, double f1, const double* dphi, const Pass& pass, double* out) const;
+        /// The pass over the signals `roots` depend on (roots included;
+        /// latch outputs and externals end a path, placeholders are read
+        /// through).
+        Pass cone(const std::vector<SignalId>& roots) const;
+        /// `id` with placeholders followed to the signal that computes it.
+        SignalId resolve(SignalId id) const {
+            return static_cast<SignalId>(target_[static_cast<std::size_t>(id)]);
+        }
+        std::size_t signalCount() const { return target_.size(); }
 
     private:
+        Pass compile(const std::vector<unsigned char>& keep) const;
+
         const PhaseSystem* sys_;
-        std::vector<SignalId> order_;  ///< dependency-sorted evaluation order
+        std::vector<std::uint32_t> order_;   ///< dependency-sorted evaluation order
+        std::vector<std::uint32_t> target_;  ///< resolve(), per signal
+        std::vector<std::uint32_t> inStart_;  ///< CSR fan-in per signal (gates only)
+        std::vector<std::uint32_t> inId_;     ///< resolved fan-in ids
     };
 
 private:

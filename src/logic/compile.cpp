@@ -128,20 +128,23 @@ core::PhaseSystem::LatchId addFabricLatch(core::PhaseSystem& sys, const SyncLatc
     return latch;
 }
 
-/// Correlation decode of several signals at once: one Program pass per
-/// sample covers every decoded signal, so the cost is independent of how
-/// deep the gate cones are.  The per-signal arithmetic matches
-/// decodeSignalBit (64 samples over one reference cycle against REF(1)).
+/// Correlation decode of several signals at once: one pass per sample over
+/// `cone` (the Program's pass for the dependency cone of `sigs`) computes
+/// every decoded signal, each shared gate once.  The per-signal arithmetic
+/// matches decodeSignalBit (64 samples over one reference cycle against
+/// REF(1)).
 std::vector<int> decodeSignalsAt(const core::PhaseSystem::Program& prog,
+                                 const core::PhaseSystem::Program::Pass& cone,
                                  const PhaseReference& ref, double tCenter, const num::Vec& dphi,
                                  const std::vector<SignalId>& sigs, std::vector<double>& vals) {
     const double t1cyc = 1.0 / ref.f1;
     const std::size_t n = 64;
     std::vector<double> corr(sigs.size(), 0.0);
+    vals.resize(prog.signalCount());
     for (std::size_t i = 0; i < n; ++i) {
         const double t = tCenter - 0.5 * t1cyc + t1cyc * static_cast<double>(i) / n;
         const double r1 = std::cos(kTwoPi * (ref.f1 * t - ref.dphiPeak + ref.phase1));
-        prog.eval(t, ref.f1, dphi, vals);
+        prog.eval(t, ref.f1, dphi.data(), cone, vals.data());
         for (std::size_t j = 0; j < sigs.size(); ++j)
             corr[j] += vals[static_cast<std::size_t>(sigs[j])] * r1;
     }
@@ -254,19 +257,27 @@ std::vector<std::vector<int>> decodeFabricRun(const CompiledFabric& fab,
                                               const core::PhaseSystem::Result& res) {
     OBS_SPAN("fabric.decode");
     const core::PhaseSystem::Program prog(fab.sys);
+    const auto cone = prog.cone(fab.outputSignals);
     std::vector<double> vals;
     std::vector<std::vector<int>> out;
     out.reserve(fab.slots);
     for (std::size_t k = 0; k < fab.slots; ++k) {
         const double t = fab.decodeTime(k);
         const num::Vec ph = dphiAt(res, t);
-        out.push_back(decodeSignalsAt(prog, fab.ref, t, ph, fab.outputSignals, vals));
+        out.push_back(decodeSignalsAt(prog, cone, fab.ref, t, ph, fab.outputSignals, vals));
     }
     return out;
 }
 
 FabricIdealSim::FabricIdealSim(const CompiledFabric& fab)
-    : fab_(&fab), prog_(fab.sys), state_(fab.netlist.dffs().size(), 0) {}
+    : fab_(&fab), prog_(fab.sys), state_(fab.netlist.dffs().size(), 0) {
+    // One correlation pass decodes the outputs and the flip-flop D nets
+    // (the bits the masters will sample in each slot's second half).
+    decoded_ = fab.outputSignals;
+    for (const auto& dff : fab.netlist.dffs())
+        decoded_.push_back(fab.netSignals[static_cast<std::size_t>(dff.d)]);
+    cone_ = prog_.cone(decoded_);
+}
 
 std::vector<int> FabricIdealSim::step() {
     const CompiledFabric& fab = *fab_;
@@ -282,14 +293,8 @@ std::vector<int> FabricIdealSim::step() {
         dphi[static_cast<std::size_t>(fab.dffs[i].master)] = ph;
         dphi[static_cast<std::size_t>(fab.dffs[i].slave)] = ph;
     }
-    // One correlation pass decodes the outputs and the flip-flop D nets
-    // (the bits the masters will sample in this slot's second half).
-    std::vector<SignalId> sigs = fab.outputSignals;
-    sigs.reserve(sigs.size() + fab.dffs.size());
-    for (const auto& dff : fab.netlist.dffs())
-        sigs.push_back(fab.netSignals[static_cast<std::size_t>(dff.d)]);
     const std::vector<int> bits =
-        decodeSignalsAt(prog_, fab.ref, fab.decodeTime(slot_), dphi, sigs, vals_);
+        decodeSignalsAt(prog_, cone_, fab.ref, fab.decodeTime(slot_), dphi, decoded_, vals_);
     std::vector<int> out(bits.begin(), bits.begin() + static_cast<long>(fab.outputSignals.size()));
     for (std::size_t i = 0; i < state_.size(); ++i)
         state_[i] = bits[fab.outputSignals.size() + i];

@@ -89,8 +89,8 @@ CompiledFabric compileFabric(const LogicNetlist& netlist, const SyncLatchDesign&
 
 /// Decode every clock slot of a finished transient: returns one bit vector
 /// per slot, aligned with netlist.outputs().  Signals are evaluated through
-/// a PhaseSystem::Program (one sparse pass per sample), so decoding deep
-/// gate cones stays linear in fabric size.
+/// a PhaseSystem::Program pass over the outputs' cone (one pass per sample),
+/// so decoding deep gate cones stays linear in fabric size.
 std::vector<std::vector<int>> decodeFabricRun(const CompiledFabric& fab,
                                               const core::PhaseSystem::Result& res);
 
@@ -115,6 +115,8 @@ public:
 private:
     const CompiledFabric* fab_;
     core::PhaseSystem::Program prog_;
+    std::vector<core::PhaseSystem::SignalId> decoded_;  // outputs, then flip-flop D nets
+    core::PhaseSystem::Program::Pass cone_;            // prog_'s cone of decoded_
     std::vector<int> state_;
     std::size_t slot_ = 0;
     std::vector<double> vals_;  // scratch: per-signal values at one sample

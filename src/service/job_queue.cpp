@@ -137,6 +137,8 @@ void JobQueue::workerLoop() {
         ctx.stop_ = &rec->stop;
         ctx.done_ = &rec->progressDone;
         ctx.total_ = &rec->progressTotal;
+        if (opt_.onProgress) ctx.onProgress_ = &opt_.onProgress;
+        ctx.id_ = rec->id;
         io::json::Value result;
         std::string error;
         bool failed = false;

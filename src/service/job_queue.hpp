@@ -59,6 +59,10 @@ inline std::uint64_t jobFlowId(const std::string& traceId, std::uint64_t jobId) 
     return h ? h : 1;  // 0 is the "no flow" sentinel in TraceEvent
 }
 
+/// Progress observer: (job id, done, total), called on the worker thread
+/// each time the body reports progress, with no queue lock held.
+using ProgressHook = std::function<void(std::uint64_t, std::uint64_t, std::uint64_t)>;
+
 /// Handle a running job body polls and reports through.
 class JobContext {
 public:
@@ -73,6 +77,7 @@ public:
     void setProgress(std::uint64_t done, std::uint64_t total) {
         done_->store(done, std::memory_order_relaxed);
         total_->store(total, std::memory_order_relaxed);
+        if (onProgress_) (*onProgress_)(id_, done, total);
     }
 
 private:
@@ -80,6 +85,8 @@ private:
     const std::atomic<bool>* stop_ = nullptr;
     std::atomic<std::uint64_t>* done_ = nullptr;
     std::atomic<std::uint64_t>* total_ = nullptr;
+    const ProgressHook* onProgress_ = nullptr;
+    std::uint64_t id_ = 0;
     bool stoppedEarly_ = false;
 };
 
@@ -133,6 +140,10 @@ public:
         /// queue lock held; must not call back into the queue.
         std::function<void(const JobSnapshot&)> onJobStarted;
         std::function<void(const JobSnapshot&)> onJobFinished;
+        /// Runs inside JobContext::setProgress, so a body's next
+        /// shouldStop() poll already sees a cancel() issued from here.
+        /// Unlike the lifecycle hooks it may call cancel().
+        ProgressHook onProgress;
     };
 
     enum class Shutdown {

@@ -4,6 +4,8 @@
 // evalSignal's arithmetic and fan-in order), restricted per delay group to a
 // dependency cone and split into fixed lane blocks across threads.  So:
 //   * Program::eval must equal the recursive reference signalValue bitwise;
+//   * the projection (one ppvAt per distinct (latch, unknown) per stage)
+//     must equal num::rk4 over a per-connection ppvAt/signalValue RHS;
 //   * the result must not depend on the thread count;
 //   * the stored grid is the rk4 grid thinned by storeEvery, last point kept.
 // EXPECT_EQ on doubles below is deliberate: exact equality, no tolerance.
@@ -12,6 +14,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <numbers>
 #include <random>
 #include <string>
 #include <vector>
@@ -19,6 +22,8 @@
 #include "common/osc_fixture.hpp"
 #include "logic/compile.hpp"
 #include "logic/workloads.hpp"
+#include "numeric/ode.hpp"
+#include "obs/metrics.hpp"
 #include "phlogon/serial_adder.hpp"
 
 using namespace phlogon;
@@ -161,3 +166,112 @@ TEST(FabricBatchParity, UnevenStoreEveryKeepsLastPoint) {
         EXPECT_EQ(res.vout[i].size(), want.size()) << "latch " << i;
     }
 }
+
+TEST(FabricBatchParity, ProjectionMatchesReferenceRk4Bitwise) {
+    // Three latches on one model, wired so the PPV dedupe has work to do:
+    // latch a injects into (u0, u1, u0), one connection reads a placeholder
+    // directly, one reads a latch output directly, and two delays split the
+    // connections into two groups.  The reference RHS below calls ppvAt once
+    // per connection and evaluates every signal with the recursive
+    // signalValue, so it shares no code with simulate's projection.
+    const auto& osc = testutil::sharedOsc();
+    const core::PpvModel& model = osc.model();
+    ASSERT_GE(model.size(), 2u);
+    const std::size_t u0 = osc.outputUnknown();
+    const std::size_t u1 = (u0 + 1) % model.size();
+    const double f1 = testutil::kF1;
+
+    PhaseSystem sys;
+    const auto a = sys.addLatch(model, "a");
+    const auto b = sys.addLatch(model, "b");
+    const auto c = sys.addLatch(model, "c");
+    const auto sync = sys.addExternal(
+        [f1](double t) { return 300e-6 * std::cos(2.0 * std::numbers::pi * 2.0 * f1 * t); }, "sync");
+    const auto data =
+        sys.addExternal([f1](double t) { return std::cos(2.0 * std::numbers::pi * f1 * t + 0.3); }, "data");
+    const auto fwd = sys.addPlaceholder("fwd");
+    const auto mix = sys.addGate({{fwd, 1.0}, {data, 0.5}, {sys.latchOutput(c), -0.25}}, true,
+                                 1.0, "mix");
+    sys.bindPlaceholder(fwd, sys.addGate({{sys.latchOutput(b), 1.0}, {data, 1.0}}, false, 1.0,
+                                         "fwdTarget"));
+
+    struct Conn {
+        PhaseSystem::LatchId latch;
+        std::size_t unknown;
+        PhaseSystem::SignalId signal;
+        double gain;
+        double delay;
+    };
+    const std::vector<Conn> conns{
+        {a, u0, sync, 1.0, 0.0},
+        {a, u1, fwd, 40e-6, 0.25},  // placeholder read directly
+        {a, u0, mix, 60e-6, 0.25},
+        {b, u0, sync, 1.0, 0.0},
+        {b, u0, sys.latchOutput(a), 50e-6, 0.25},  // latch output read directly
+        {c, u1, sync, 1.0, 0.0},
+        {c, u0, mix, 30e-6, 0.25},
+        {c, u1, fwd, 20e-6, 0.0},
+    };
+    for (const Conn& k : conns) sys.connect(k.latch, k.unknown, k.signal, k.gain, k.delay);
+
+    const num::Vec dphi0{0.05, 0.3, 0.55};
+    const double t1 = 10.0 / f1;
+    const std::size_t stepsPerCycle = 64;
+    const auto res = sys.simulate(f1, 0.0, t1, dphi0, stepsPerCycle, 1);
+    ASSERT_TRUE(res.ok);
+
+    const num::OdeRhs reference = [&](double t, const num::Vec& y) {
+        num::Vec dydt(y.size());
+        for (std::size_t i = 0; i < y.size(); ++i) {
+            const core::PpvModel& m = sys.latchModel(static_cast<PhaseSystem::LatchId>(i));
+            const double theta = f1 * t + y[i];
+            double proj = 0.0;
+            for (const Conn& k : conns)
+                if (static_cast<std::size_t>(k.latch) == i)
+                    proj += m.ppvAt(k.unknown, theta) * k.gain *
+                            sys.signalValue(k.signal, t - k.delay / f1, f1, y);
+            dydt[i] = (m.f0() - f1) + m.f0() * proj;
+        }
+        return dydt;
+    };
+    const auto nSteps =
+        static_cast<std::size_t>(std::ceil(t1 * f1 * static_cast<double>(stepsPerCycle)));
+    const num::OdeSolution ref = num::rk4(reference, dphi0, 0.0, t1, nSteps);
+    ASSERT_TRUE(ref.ok);
+
+    ASSERT_EQ(res.t.size(), ref.t.size());
+    for (std::size_t p = 0; p < ref.t.size(); ++p) {
+        EXPECT_EQ(res.t[p], ref.t[p]) << "point " << p;
+        for (std::size_t i = 0; i < dphi0.size(); ++i) {
+            EXPECT_EQ(res.dphi[i][p], ref.y[p][i]) << "latch " << i << " point " << p;
+            EXPECT_EQ(res.vout[i][p],
+                      model.xsAt(model.outputUnknown(), f1 * ref.t[p] + ref.y[p][i]))
+                << "latch " << i << " point " << p;
+        }
+    }
+}
+
+#ifndef PHLOGON_NO_OBS
+TEST(FabricBatchParity, PpvTermsCountDistinctUnknowns) {
+    // Every fabric latch injects SYNC, S and R into the same unknown: three
+    // connections, one PPV evaluation per stage.
+    const auto nl = logic::shiftRegister(4);
+    logic::FabricCompileOptions opt;
+    opt.bitPeriodCycles = 2.0;
+    const auto fab = logic::compileFabric(nl, testutil::sharedFsmDesign(),
+                                          std::vector<std::vector<int>>{{1}}, opt);
+    ASSERT_EQ(fab.sys.latchCount(), 8u);
+    auto& reg = obs::MetricsRegistry::instance();
+    const bool wasEnabled = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    const std::uint64_t terms0 = reg.counter("batch.fabric.ppvTerms").value();
+    const std::uint64_t conns0 = reg.counter("batch.fabric.connections").value();
+    const auto res = fab.sys.simulate(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, 64);
+    const std::uint64_t terms1 = reg.counter("batch.fabric.ppvTerms").value();
+    const std::uint64_t conns1 = reg.counter("batch.fabric.connections").value();
+    obs::setMetricsEnabled(wasEnabled);
+    ASSERT_TRUE(res.ok);
+    EXPECT_EQ(terms1 - terms0, 8u);
+    EXPECT_EQ(conns1 - conns0, 24u);
+}
+#endif

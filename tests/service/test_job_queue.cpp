@@ -246,3 +246,32 @@ TEST(JobQueue, ProgressVisibleInSnapshots) {
     EXPECT_EQ(q.list().size(), 1u);
     q.shutdown(svc::JobQueue::Shutdown::Drain);
 }
+
+TEST(JobQueue, ProgressHookCancelLandsOnThatChunkBoundary) {
+    // A cancel issued from onProgress is seen by the body's very next
+    // shouldStop() poll: the job stops after exactly the reported chunk.
+    svc::JobQueue* queue = nullptr;
+    svc::JobQueue::Options opt;
+    opt.workers = 1;
+    std::vector<std::uint64_t> seen;
+    opt.onProgress = [&](std::uint64_t job, std::uint64_t done, std::uint64_t total) {
+        seen.push_back(done);
+        EXPECT_EQ(total, 10u);
+        if (done == 3) queue->cancel(job);
+    };
+    svc::JobQueue q(opt);
+    queue = &q;
+    const auto s = q.submit("t", 0, [](svc::JobContext& ctx) {
+        std::uint64_t done = 0;
+        while (done < 10 && !ctx.shouldStop()) ctx.setProgress(++done, 10);
+        if (done < 10) ctx.markStoppedEarly();
+        return numResult(static_cast<double>(done));
+    });
+    const auto snap = q.wait(s.id);
+    ASSERT_TRUE(snap.has_value());
+    EXPECT_EQ(snap->state, svc::JobState::Cancelled);
+    EXPECT_DOUBLE_EQ(snap->result.fieldNumber("v", 0), 3.0);
+    EXPECT_EQ(snap->progressDone, 3u);
+    q.shutdown(svc::JobQueue::Shutdown::Drain);
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3}));
+}

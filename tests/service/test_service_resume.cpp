@@ -26,8 +26,13 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// An empty temp directory named `name` plus the current test's name:
+/// ctest runs each case as its own, possibly parallel, process, and a
+/// shared name would let one case delete another's files.
 fs::path freshDir(const std::string& name) {
-    const fs::path dir = fs::temp_directory_path() / name;
+    const fs::path dir = fs::temp_directory_path() /
+                         (name + "_" +
+                          ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir;
@@ -77,8 +82,10 @@ svc::JobSnapshot runJob(const std::string& type, const char* paramText,
     return *snap;
 }
 
-/// Run one job, cancel it once progressDone >= minProgress, return the
-/// cancelled snapshot.
+/// Run one job and cancel it the moment its progress reaches minProgress,
+/// return the cancelled snapshot.  The cancel is issued from the progress
+/// hook on the worker thread, before the body's next shouldStop() poll, so
+/// the cut lands on exactly that chunk boundary however loaded the host is.
 svc::JobSnapshot runAndCancel(const std::string& type, const char* paramText,
                               const fs::path& ckptDir, std::uint64_t minProgress) {
     svc::JobEnv env;
@@ -86,17 +93,17 @@ svc::JobSnapshot runAndCancel(const std::string& type, const char* paramText,
     env.checkpointDir = ckptDir;
     const svc::BuiltJob built = svc::buildJob(type, params(paramText), env);
     EXPECT_TRUE(built.ok) << built.errorMessage;
+    svc::JobQueue* queue = nullptr;
     svc::JobQueue::Options qopt;
     qopt.workers = 1;
+    qopt.onProgress = [&queue, minProgress](std::uint64_t job, std::uint64_t done,
+                                            std::uint64_t total) {
+        if (done >= minProgress && done < total) queue->cancel(job);
+    };
     svc::JobQueue q(qopt);
+    queue = &q;
     const svc::SubmitResult s = q.submit(type, 0, built.body);
     EXPECT_TRUE(s.accepted);
-    while (true) {
-        const auto snap = q.find(s.id);
-        if (!snap || snap->terminal() || snap->progressDone >= minProgress) break;
-        std::this_thread::yield();
-    }
-    q.cancel(s.id);
     const auto snap = q.wait(s.id);
     EXPECT_TRUE(snap.has_value());
     q.shutdown(svc::JobQueue::Shutdown::Drain);
