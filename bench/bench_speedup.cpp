@@ -406,11 +406,6 @@ void reportSolverStrategies() {
     an::TransientOptions chord = base;
     chord.newton.jacobianReuse = true;
     rows.push_back({"chord Newton (LU reuse)", an::transient(w.dae, w.x0, 0.0, w.t1, chord)});
-    an::TransientOptions adaptive = chord;
-    adaptive.adaptive = true;
-    adaptive.lteRelTol = 1e-4;
-    adaptive.lteAbsTol = 1e-7;
-    rows.push_back({"chord + adaptive dt", an::transient(w.dae, w.x0, 0.0, w.t1, adaptive)});
 
     const auto& b = rows.front().r;
     std::printf("Solver strategy comparison: D-latch bit write, %.0f cycles of SPICE-level\n",
@@ -431,8 +426,7 @@ void reportSolverStrategies() {
                           {"speedup", b.counters.wallSeconds / c.wallSeconds}});
     }
     std::printf("  (speedup and maxrel = wall-time ratio and final-state max relative\n");
-    std::printf("   deviation against the full-Newton row;\n");
-    std::printf("   the adaptive row trades LTE-controlled accuracy for fewer steps)\n\n");
+    std::printf("   deviation against the full-Newton row)\n\n");
 }
 
 // ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ DcopResult dcOperatingPoint(const Dae& dae, const DcopOptions& opt) {
         out.endAssembly();
     };
     num::NewtonWorkspace ws;
-    const bool sparse = opt.newton.linearSolver == num::LinearSolver::Sparse;
+    const bool sparse = num::useSparseSolver(opt.newton.linearSolver, n);
 
     double gmin = opt.gminStart;
     bool lastPass = false;

@@ -58,7 +58,7 @@ bool ImplicitStepper::step(double tNew, double h, const num::Vec& qk, const num:
     }
 
     const num::NewtonResult nr =
-        opt.linearSolver == num::LinearSolver::Sparse
+        num::useSparseSolver(opt.linearSolver, dae_->size())
             ? num::newtonSolveSparse(residual_, sparseJacobian_, xNew, ws_, opt)
             : num::newtonSolve(residual_, jacobian_, xNew, ws_, opt);
     counters += nr.counters;

@@ -1,9 +1,10 @@
 #pragma once
 // Dense matrix / vector utilities used throughout the simulator.
 //
-// Circuit systems in this project are small (tens of unknowns), so a dense
-// row-major matrix with partial-pivot LU is both simpler and faster than a
-// sparse solver would be at this scale.
+// Most systems here are small: oscillator decks of a few unknowns, PPV and
+// sensitivity chains, HB blocks.  There a dense row-major matrix with
+// partial-pivot LU beats a sparse solver.  MNA Newton solves switch to the
+// sparse tier (numeric/sparse.hpp) at kSparseMinUnknowns (numeric/newton.hpp).
 
 #include <cassert>
 #include <cstddef>

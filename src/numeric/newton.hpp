@@ -24,6 +24,7 @@
 // the iteration is retried with a fresh Jacobian, so robustness matches
 // full Newton.
 
+#include <cstddef>
 #include <functional>
 #include <string>
 
@@ -35,11 +36,26 @@
 
 namespace phlogon::num {
 
-/// Linear-algebra backend of the Newton inner loop (DESIGN.md §15).  Dense
-/// is the default and bit-for-bit the historical behaviour; Sparse routes
-/// the Jacobian through pattern-cached CSR assembly and the fill-reducing
-/// SparseLu, which is what makes 500+-unknown MNA systems tractable.
-enum class LinearSolver { Dense, Sparse };
+/// Linear-algebra backend of the Newton inner loop (DESIGN.md §15).  Auto
+/// (the default) picks by system size through useSparseSolver: dense LU
+/// below kSparseMinUnknowns, where its tight loops win and the historical
+/// results stay bitwise; pattern-cached CSR assembly plus the fill-reducing
+/// SparseLu at and above it.  Dense and Sparse force one backend (parity
+/// tests, scaling benchmarks).
+enum class LinearSolver { Auto, Dense, Sparse };
+
+/// Smallest MNA system that Auto routes to the sparse backend.  Measured
+/// crossover of chord-free TRAP transients on ring oscillators and RC
+/// ladders (DESIGN.md §15); above every design-flow deck (at most 9
+/// unknowns), so the design goldens run dense.
+inline constexpr std::size_t kSparseMinUnknowns = 16;
+
+/// The size rule: true when a Newton solve over `unknowns` unknowns should
+/// take the sparse backend under `solver`.
+constexpr bool useSparseSolver(LinearSolver solver, std::size_t unknowns) {
+    return solver == LinearSolver::Sparse ||
+           (solver == LinearSolver::Auto && unknowns >= kSparseMinUnknowns);
+}
 
 struct NewtonOptions {
     int maxIter = 60;
@@ -60,11 +76,10 @@ struct NewtonOptions {
     /// With jacobianReuse: refactorize when ||F_new|| / ||F_old|| exceeds
     /// this contraction threshold (or when the step needed damping).
     double contractionTol = 0.5;
-    /// Linear-algebra backend.  Dense (default) keeps the historical
-    /// behaviour bitwise; Sparse requires the sparse-capable newtonSolve
-    /// overload (analyses plumb this automatically — see SolverOptions
-    /// aliases in the analysis option structs).
-    LinearSolver linearSolver = LinearSolver::Dense;
+    /// Linear-algebra backend.  Auto (default) picks by size through
+    /// useSparseSolver; the analyses (dcop, transient, PSS steps) apply it.
+    /// The matrix-callback newtonSolve overloads are dense whatever this says.
+    LinearSolver linearSolver = LinearSolver::Auto;
 };
 
 struct NewtonResult {
@@ -127,7 +142,7 @@ NewtonResult newtonSolve(const ResidualInPlaceFn& f, const JacobianInPlaceFn& ja
 /// Sparse-backend newtonSolve: same damping/chord policy, with the Jacobian
 /// assembled into the workspace's pattern-cached CSR and factorized by the
 /// fill-reducing SparseLu (numeric-only refactors once the pattern froze).
-/// Used by analyses when NewtonOptions::linearSolver == LinearSolver::Sparse.
+/// Used by analyses when useSparseSolver(opt.linearSolver, n) holds.
 NewtonResult newtonSolveSparse(const ResidualInPlaceFn& f, const SparseJacobianInPlaceFn& jac,
                                Vec& x, NewtonWorkspace& ws, const NewtonOptions& opt = {});
 

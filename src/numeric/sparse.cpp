@@ -15,21 +15,27 @@ void SparseMatrix::reset(std::size_t rows, std::size_t cols) {
     rowPtr_.clear();
     colIdx_.clear();
     val_.clear();
+    slotCache_.clear();
+    cursor_ = 0;
 }
 
 void SparseMatrix::beginAssembly() {
-    if (frozen_) {
-        std::fill(val_.begin(), val_.end(), 0.0);
-        pending_.clear();
-    } else {
-        pending_.clear();
-    }
+    if (frozen_) std::fill(val_.begin(), val_.end(), 0.0);
+    pending_.clear();
+    cursor_ = 0;
 }
 
 void SparseMatrix::add(std::size_t r, std::size_t c, double v) {
     assert(r < rows_ && c < cols_);
+    const std::size_t k = cursor_++;
     if (frozen_) {
-        const std::size_t slot = findSlot(r, c);
+        std::size_t slot = k < slotCache_.size() ? slotCache_[k] : npos;
+        if (slot < rowPtr_[r] || slot >= rowPtr_[r + 1] || colIdx_[slot] != c) {
+            // Cache miss: binary-search and remember for the next assembly.
+            slot = findSlot(r, c);
+            if (k >= slotCache_.size()) slotCache_.resize(k + 1, npos);
+            slotCache_[k] = slot;
+        }
         if (slot != npos) {
             val_[slot] += v;
             return;
@@ -82,6 +88,7 @@ void SparseMatrix::mergePending() {
     rowPtr_[rows_] = colIdx_.size();
     frozen_ = true;
     ++patternStamp_;
+    slotCache_.clear();  // slots moved; the next assembly re-caches them
 }
 
 void SparseMatrix::endAssembly() {

@@ -9,8 +9,13 @@
 //   1. building: add(r, c, v) appends (r, c, v) triplets.  endAssembly()
 //      sorts, merges duplicates and freezes the pattern into CSR arrays.
 //   2. frozen: beginAssembly() just zeroes the value array; add(r, c, v)
-//      binary-searches the row's column slice and accumulates in place —
-//      no allocation, no sorting, cache-friendly row-major sweeps.
+//      accumulates in place — no allocation, no sorting.  Callers stamp the
+//      same sequence of coordinates every assembly, so the k-th add
+//      remembers the slot it hit (the slot cache) and the next assembly's
+//      k-th add reuses it once it has checked that the slot lies in row r
+//      and holds column c.  A changed sequence falls back to a binary
+//      search of the row's column slice and re-caches.  Either way a value
+//      lands in its one (r, c) slot, so results do not depend on the cache.
 //
 // A stamp that misses the frozen pattern (a device appearing mid-run, a
 // gmin diagonal added by an analysis) is not an error: it lands in an
@@ -48,10 +53,12 @@ public:
     /// overflow merge, reset).  Factorizations record it to detect staleness.
     std::uint64_t patternStamp() const { return patternStamp_; }
 
-    /// Start a fresh accumulation: zero values (frozen) or clear triplets.
+    /// Start a fresh accumulation: zero values (frozen) or clear triplets,
+    /// and rewind the slot cache to the first add.
     void beginAssembly();
-    /// Accumulate v at (r, c).  Frozen pattern hit: in-place add.  Miss (or
-    /// still building): triplet append, merged by the next endAssembly().
+    /// Accumulate v at (r, c).  Frozen pattern hit: in-place add through the
+    /// slot cache.  Miss (or still building): triplet append, merged by the
+    /// next endAssembly().
     void add(std::size_t r, std::size_t c, double v);
     /// Freeze/extend the pattern.  Idempotent when nothing is pending.
     void endAssembly();
@@ -93,6 +100,9 @@ private:
     std::vector<Triplet> pending_;  ///< building triplets / frozen overflow
     std::vector<std::size_t> rowPtr_, colIdx_;
     std::vector<double> val_;
+    /// Slot hit by the k-th add of the last frozen assembly (npos: none).
+    std::vector<std::size_t> slotCache_;
+    std::size_t cursor_ = 0;  ///< adds so far in the current assembly
 };
 
 }  // namespace phlogon::num

@@ -97,24 +97,29 @@ std::vector<std::size_t> minDegreeOrder(const SparseMatrix& a) {
     return order;
 }
 
-bool SparseLu::factor(const SparseMatrix& a, double pivotRel) {
-    PHLOGON_COUNT_METRIC("sparse.lu.factor.calls");
-    return fullFactor(a, pivotRel);
-}
+// Registry counts: "sparse.lu.factor.calls" counts every full
+// factorization, whichever entry point led to it; "sparse.lu.refactor.calls"
+// counts numeric-only refactors that succeeded.  A refactor that falls back
+// therefore counts once, as the full factorization it became.
+
+bool SparseLu::factor(const SparseMatrix& a, double pivotRel) { return fullFactor(a, pivotRel); }
 
 bool SparseLu::refactor(const SparseMatrix& a, double pivotRel) {
     if (valid_ && a.rows() == n_ && a.cols() == n_ && a.patternStamp() == aPatternStamp_) {
-        PHLOGON_COUNT_METRIC("sparse.lu.refactor.calls");
         if (numericRefactor(a, pivotRel)) {
+            PHLOGON_COUNT_METRIC("sparse.lu.refactor.calls");
             ++refactors_;
             return true;
         }
-        // Reused pivot sequence degraded: fall through to fresh pivoting.
+        // Reused pivot sequence degraded: fresh pivoting over the same
+        // pattern, whose fill-reducing order is still the one in q_.
+        return fullFactor(a, pivotRel, /*keepOrder=*/true);
     }
     return fullFactor(a, pivotRel);
 }
 
-bool SparseLu::fullFactor(const SparseMatrix& a, double pivotRel) {
+bool SparseLu::fullFactor(const SparseMatrix& a, double pivotRel, bool keepOrder) {
+    PHLOGON_COUNT_METRIC("sparse.lu.factor.calls");
     valid_ = false;
     const std::size_t n = a.rows();
     if (n == 0 || a.cols() != n || !a.patternFrozen()) return false;
@@ -137,7 +142,9 @@ bool SparseLu::fullFactor(const SparseMatrix& a, double pivotRel) {
             }
     }
 
-    q_ = minDegreeOrder(a);
+    // The order depends on the pattern alone (minDegreeOrder is
+    // deterministic), so a pivot-driven refactorization reuses it.
+    if (!keepOrder) q_ = minDegreeOrder(a);
     pinv_.assign(n, npos);
     lp_.assign(n + 1, 0);
     up_.assign(n + 1, 0);

@@ -68,7 +68,8 @@ public:
     double rcondEstimate() const;
 
 private:
-    bool fullFactor(const SparseMatrix& a, double pivotRel);
+    /// `keepOrder`: reuse q_ (same pattern as the last factorization).
+    bool fullFactor(const SparseMatrix& a, double pivotRel, bool keepOrder = false);
     bool numericRefactor(const SparseMatrix& a, double pivotRel);
     void buildRefactorMap(const SparseMatrix& a);
 

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 #include "analysis/dcop.hpp"
 #include "analysis/transient.hpp"
@@ -129,6 +130,42 @@ TEST(FsmCircuit, MasterSlaveEdgeBehaviour) {
                   decodeNode(nl, res, ref, sc.q1Node, tEarly))
             << "slot " << k;
     }
+}
+
+TEST(FsmCircuit, DefaultSolverRunsSparseBitwise) {
+    // 56 unknowns is above num::kSparseMinUnknowns: the default dcop and
+    // transient must run the sparse engine, bitwise what forcing it gives.
+    const auto& fx = fsmFixture();
+    const auto& ref = fx.design.reference;
+    ckt::Netlist nl;
+    logic::SerialAdderOptions opt;
+    opt.bitPeriodCycles = 80;
+    logic::buildSerialAdderCircuit(nl, fx.design, fx.spec, {0, 1}, {0, 1}, opt);
+    ckt::Dae dae(nl);
+    ASSERT_EQ(dae.size(), 56u);
+    ASSERT_GE(dae.size(), num::kSparseMinUnknowns);
+
+    const auto run = [&](num::LinearSolver solver) {
+        an::DcopOptions dopt;
+        dopt.newton.linearSolver = solver;
+        const an::DcopResult dc = an::dcOperatingPoint(dae, dopt);
+        EXPECT_TRUE(dc.ok) << dc.message;
+        Vec x0 = dc.x;
+        for (const char* n : {"lat1.n1", "lat2.n1"})
+            x0[static_cast<std::size_t>(nl.findNode(n))] += 0.4;
+        an::TransientOptions topt;
+        topt.dt = 1.0 / (ref.f1 * 200.0);
+        topt.newton.linearSolver = solver;
+        return std::pair{dc, an::transient(dae, x0, 0.0, 2.0 / ref.f1, topt)};
+    };
+    const auto [dcDefault, trDefault] = run(num::LinearSolver::Auto);
+    const auto [dcSparse, trSparse] = run(num::LinearSolver::Sparse);
+    ASSERT_TRUE(trDefault.ok) << trDefault.message;
+    EXPECT_GT(dcDefault.counters.sparseFactorizations, 0u);
+    EXPECT_GT(trDefault.counters.sparseFactorizations, 0u);
+    EXPECT_EQ(dcDefault.x, dcSparse.x);
+    EXPECT_EQ(trDefault.x, trSparse.x);
+    EXPECT_EQ(trDefault.counters.luFactorizations, trSparse.counters.luFactorizations);
 }
 
 }  // namespace

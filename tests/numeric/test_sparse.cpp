@@ -106,6 +106,81 @@ TEST(SparseMatrix, ResetDropsPattern) {
 }
 
 // ---------------------------------------------------------------------------
+// SparseMatrix: slot cache (the k-th add of a frozen assembly reuses the slot
+// the k-th add of the previous one hit, after checking it)
+// ---------------------------------------------------------------------------
+
+struct Stamp {
+    std::size_t r, c;
+    double v;
+};
+
+/// Row-major entries of the dense expansion, for exact comparison.
+Vec denseEntries(const SparseMatrix& a) {
+    const Matrix d = a.toDense();
+    return Vec(d.data(), d.data() + d.rows() * d.cols());
+}
+
+void assemble(SparseMatrix& a, const std::vector<Stamp>& seq) {
+    a.beginAssembly();
+    for (const Stamp& s : seq) a.add(s.r, s.c, s.v);
+    a.endAssembly();
+}
+
+/// A device-like stamp sequence over 4 unknowns with repeated slots.  The
+/// values are dyadic, so any summation order gives the same doubles.
+std::vector<Stamp> baseStamps() {
+    return {{0, 0, 1.5},  {0, 1, -0.5}, {1, 0, -0.5}, {1, 1, 2.25}, {1, 1, 0.75},
+            {2, 2, 3.0},  {2, 3, -1.0}, {3, 2, -1.0}, {3, 3, 1.0},  {0, 0, 0.25},
+            {3, 3, 0.125}};
+}
+
+/// Frozen matrix whose slot cache is warm with baseStamps(), then assembled
+/// with `changed`: must equal a fresh matrix built from `changed` alone.
+void expectChangedSequenceMatchesFresh(const std::vector<Stamp>& changed) {
+    SparseMatrix cached(4, 4);
+    assemble(cached, baseStamps());  // freeze
+    assemble(cached, baseStamps());  // fill the slot cache
+    assemble(cached, baseStamps());  // assemble through it
+    SparseMatrix fresh(4, 4);
+    assemble(fresh, baseStamps());
+    EXPECT_EQ(denseEntries(cached), denseEntries(fresh));
+
+    assemble(cached, changed);
+    SparseMatrix expect(4, 4);
+    assemble(expect, changed);
+    EXPECT_EQ(denseEntries(cached), denseEntries(expect));
+    // And once more, now that the cache holds the changed sequence.
+    assemble(cached, changed);
+    EXPECT_EQ(denseEntries(cached), denseEntries(expect));
+}
+
+TEST(SparseSlotCache, SkippedStampFallsBack) {
+    std::vector<Stamp> seq = baseStamps();
+    seq.erase(seq.begin() + 3);  // every later add shifts one cache entry
+    expectChangedSequenceMatchesFresh(seq);
+}
+
+TEST(SparseSlotCache, SwappedStampsFallBack) {
+    std::vector<Stamp> seq = baseStamps();
+    std::swap(seq[0], seq[1]);  // same row, other column
+    std::swap(seq[5], seq[8]);  // other rows
+    expectChangedSequenceMatchesFresh(seq);
+}
+
+TEST(SparseSlotCache, OffPatternStampGrowsPattern) {
+    std::vector<Stamp> seq = baseStamps();
+    seq.insert(seq.begin() + 4, Stamp{0, 3, 0.5});
+    SparseMatrix probe(4, 4);
+    assemble(probe, baseStamps());
+    const auto stamp = probe.patternStamp();
+    assemble(probe, seq);
+    EXPECT_GT(probe.patternStamp(), stamp);
+    EXPECT_EQ(probe.nnz(), 9u);
+    expectChangedSequenceMatchesFresh(seq);
+}
+
+// ---------------------------------------------------------------------------
 // Minimum-degree ordering
 // ---------------------------------------------------------------------------
 
